@@ -1,6 +1,6 @@
 # Development targets for the MANET overhead reproduction.
 
-.PHONY: build test vet race check check-full chaos difftest difftest-event bench bench-smoke serve-smoke crash-harness worker-chaos storage-chaos
+.PHONY: build test vet race check check-full chaos difftest bench bench-smoke serve-smoke crash-harness worker-chaos storage-chaos
 
 build:
 	go build ./...
@@ -15,15 +15,14 @@ race:
 	go test -race ./...
 
 # check is the pre-merge gate: static analysis, the test suite in short
-# mode under the race detector (this includes the 24-scenario three-way
+# mode under the race detector (this includes the 24-scenario two-way
 # differential lockstep matrix and the metamorphic/conformance gates of
 # internal/difftest), and short fuzz smokes over the checkpoint journal
 # decoder, the netsim config validator, the pending-delivery queue, the
 # faults config validator, the daemon's HTTP job-spec decoder, the
 # distributed-sweep wire protocol (lease grants plus the coordinator's
-# claim/heartbeat/result/done decoders), the event core's priority
-# queue (model-checked against a sorted-slice specification), and the
-# storage fault-plan decoder.
+# claim/heartbeat/result/done decoders), and the storage fault-plan
+# decoder.
 check:
 	go vet ./... && go test -race -short -count=1 ./...
 	go test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 5s ./internal/checkpoint
@@ -34,7 +33,6 @@ check:
 	go test -run '^$$' -fuzz FuzzJobSpecDecode -fuzztime 5s ./internal/service
 	go test -run '^$$' -fuzz FuzzLeaseDecode -fuzztime 5s ./internal/service
 	go test -run '^$$' -fuzz FuzzWireDecode -fuzztime 5s ./internal/service
-	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 5s ./internal/eventsim
 
 # check-full is the CI deep gate: the whole suite — 48 lockstep
 # scenarios, full-length statistical conformance — with caching off.
@@ -54,38 +52,26 @@ chaos:
 difftest:
 	go test -count=1 -v ./internal/difftest/ ./internal/refsim/
 
-# difftest-event focuses on the event-driven core: the full 48-scenario
-# three-way lockstep matrix (reference oracle vs tick engine vs event
-# core, with fast-path coverage assertions), the static-scenario
-# schedule pins, and the eventsim package's own lockstep, determinism,
-# metamorphic and no-late-event gates.
-difftest-event:
-	go test -count=1 -v -run 'TestLockstepMatrix|TestStaticExtras' ./internal/difftest/
-	go test -count=1 -v ./internal/eventsim/ ./internal/mobility/
-
 # bench runs every benchmark once (the reproduction scoreboard) and then
-# regenerates the machine-readable performance artifact BENCH_7.json:
+# regenerates the machine-readable performance artifact BENCH_8.json:
 # Figure 1–3 wall-clock per worker count, the steady-state tick-loop
 # throughput vs the growth seed — on the ideal medium, with loss+churn
 # faults, and with the full delivery pipeline — the node-count scaling
 # sweep (1k/10k/100k at constant density) against the BENCH_3
-# full-rescan extrapolation, the tick-vs-event core comparison rows
-# (bit-identity asserted before timing), and the storage-seam row (raw
-# *os.File vs the internal/vfs passthrough on the journal append+fsync
-# path; any allocation delta aborts the bench). BENCH_1–6.json are the
-# preserved artifacts of previous revisions.
+# full-rescan extrapolation, and the storage-seam row (raw *os.File vs
+# the internal/vfs passthrough on the journal append+fsync path; any
+# allocation delta aborts the bench). BENCH_1–7.json are the preserved
+# artifacts of previous revisions.
 bench:
 	go test -run '^$$' -bench=. -benchtime=1x .
-	go run ./cmd/bench -out BENCH_7.json
+	go run ./cmd/bench -out BENCH_8.json
 
 # bench-smoke is the CI-sized benchmark gate: the N=1k step loop with
 # tile-parallel topology maintenance enabled, under the race detector,
-# writing its artifact to a scratch path. -core event routes the figure
-# drivers through the event engine selector, and the step-only artifact
-# always carries the tick-vs-event comparison rows (each bit-checked
-# before timing). It is a correctness smoke, not a timing source.
+# writing its artifact to a scratch path. It is a correctness smoke, not
+# a timing source.
 bench-smoke:
-	go run -race ./cmd/bench -step-only -step-ticks 120 -n 1000 -tiles 4 -core event -out /tmp/bench-smoke.json
+	go run -race ./cmd/bench -step-only -step-ticks 120 -n 1000 -tiles 4 -out /tmp/bench-smoke.json
 
 # serve-smoke is the daemon's end-to-end gate, race-enabled: build the
 # real manetsimd binary, start it, verify liveness, submit a job,

@@ -1,5 +1,5 @@
 // Command bench measures the performance envelope of the simulator and
-// the sweep engine and writes a machine-readable artifact (BENCH_7.json
+// the sweep engine and writes a machine-readable artifact (BENCH_8.json
 // by default):
 //
 //   - wall-clock time of Figures 1–3 at each requested worker count
@@ -18,13 +18,6 @@
 //     naive full-rescan extrapolation from the BENCH_3 engine
 //     (283220 ns × N/400) and the speedup against it, plus a
 //     serial-vs-tiled equivalence check;
-//   - event-core comparison rows: the same steady-state loop run on the
-//     tick engine and the event-driven core (internal/eventsim) at the
-//     canonical, low-mobility and static variants — tallies and mean
-//     degree are asserted bit-identical across the engines before any
-//     timing is recorded, then each row reports both ns/tick figures,
-//     the speedup and the fraction of topology/phase work the event
-//     schedule skipped;
 //   - a distributed-sweep speedup row per worker count (-dist-workers):
 //     the same figure sweep executed by lease-based manetsimw-style
 //     workers against an in-process coordinator, recording wall clock,
@@ -64,7 +57,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/eventsim"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/geom"
@@ -134,30 +126,6 @@ type StepResult struct {
 	// TilesBitIdentical reports the serial-vs-tiled cross-check on this
 	// scenario (scaling rows only); anything but true is a bug.
 	TilesBitIdentical bool `json:"tiles_bit_identical,omitempty"`
-}
-
-// EventResult is one event-core comparison row: the same scenario
-// stepped by the tick engine and the event-driven core. Bit-identity
-// of the observable stream (all tallies plus the final mean degree) is
-// asserted before either engine is timed, so a speedup can never be
-// bought with divergence.
-type EventResult struct {
-	Name string `json:"name"`
-	N    int    `json:"n"`
-	// TickNsPerTick and EventNsPerTick are the steady-state per-tick
-	// costs of the two engines on the identical scenario; Speedup is
-	// their ratio (>1 means the event core is faster).
-	TickNsPerTick  float64 `json:"tick_ns_per_tick"`
-	EventNsPerTick float64 `json:"event_ns_per_tick"`
-	Speedup        float64 `json:"speedup"`
-	// SkippedTopoFrac and SkippedPhaseFrac are the fractions of ticks
-	// whose topology evaluation / protocol phase the event schedule
-	// proved unnecessary — the mechanism behind the speedup.
-	SkippedTopoFrac  float64 `json:"skipped_topo_frac"`
-	SkippedPhaseFrac float64 `json:"skipped_phase_frac"`
-	// BitIdentical records the pre-timing equivalence check. Anything
-	// but true is a bug (and the row is never recorded: bench aborts).
-	BitIdentical bool `json:"bit_identical"`
 }
 
 // DistResult is one distributed-sweep row: the bench figure sweep
@@ -238,9 +206,6 @@ type Report struct {
 	// as √N), two rows per N: the canonical mobility and the low-mobility
 	// (1/10 speed) variant.
 	StepScaling []StepResult `json:"step_scaling,omitempty"`
-	// EventCore compares the tick engine against the event-driven core
-	// on identical scenarios (bit-identity asserted before timing).
-	EventCore []EventResult `json:"event_core,omitempty"`
 	// Distributed holds one row per -dist-workers entry: the lease-based
 	// executor's wall clock, speedup and efficiency at that worker count.
 	Distributed []DistResult `json:"distributed,omitempty"`
@@ -264,8 +229,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	outPath := fs.String("out", "BENCH_7.json", "artifact path")
-	coreFlag := fs.String("core", "tick", "engine for the figure drivers: tick, event (lockstep-equivalent; results are identical)")
+	outPath := fs.String("out", "BENCH_8.json", "artifact path")
 	seed := fs.Uint64("seed", 42, "random seed")
 	events := fs.Float64("events", 4_000, "target link events per measured point")
 	stepTicks := fs.Int("step-ticks", 2000, "ticks measured per engine-throughput loop at N=400 (scaled down for larger N)")
@@ -283,10 +247,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *tiles < 1 {
 		return fmt.Errorf("-tiles must be positive, got %d", *tiles)
-	}
-	figCore, err := netsim.ParseCore(*coreFlag)
-	if err != nil {
-		return err
 	}
 	ns, err := parseIntList(*nList)
 	if err != nil {
@@ -331,7 +291,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "gomaxprocs %d (host cpus %d)\n", rep.GoMaxProcs, rep.HostCPUs)
 
 	if !*stepOnly {
-		if err := measureFigures(&rep, workers, figCore, *seed, *events, out); err != nil {
+		if err := measureFigures(&rep, workers, *seed, *events, out); err != nil {
 			return err
 		}
 		if err := measureDistributed(&rep, distWorkers, *seed, *events, out); err != nil {
@@ -407,10 +367,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if err := measureEventRows(&rep, ns, *stepTicks, out); err != nil {
-		return err
-	}
-
 	storage, err := measureStorage(128)
 	if err != nil {
 		return err
@@ -437,7 +393,7 @@ func run(args []string, out io.Writer) error {
 // measureFigures times each figure driver at each requested worker
 // count, after one untimed warm-up pass that populates caches and lets
 // the runtime reach steady state before any row is recorded.
-func measureFigures(rep *Report, workers []int, core netsim.Core, seed uint64, events float64, out io.Writer) error {
+func measureFigures(rep *Report, workers []int, seed uint64, events float64, out io.Writer) error {
 	drivers := []struct {
 		name string
 		f    func(experiments.Options) (*metrics.Figure, error)
@@ -450,7 +406,6 @@ func measureFigures(rep *Report, workers []int, core netsim.Core, seed uint64, e
 		opts := experiments.DefaultOptions()
 		opts.Seed = seed
 		opts.TargetEvents = events
-		opts.Core = core
 
 		// Warm-up: one untimed serial pass.
 		opts.Workers = 1
@@ -778,149 +733,6 @@ func measureStepLoop(n, tiles int, medium netsim.Medium, ticks int, speedScale f
 		AllocsPerTick: float64(after.Mallocs-before.Mallocs) / float64(ticks),
 		BytesPerTick:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ticks),
 		RequeryFrac:   float64(statsAfter.RequeriedRows-statsBefore.RequeriedRows) / float64(ticks*n),
-	}, nil
-}
-
-// eventScenario builds the event-core comparison scenarios: the
-// canonical and low-mobility variants of the scaling scenario plus a
-// static one (node placement drawn as usual, then frozen) — the regime
-// the event core collapses to pure schedule bookkeeping.
-func eventScenario(n int, kind string) netsim.Config {
-	switch kind {
-	case "low":
-		return scalingScenario(n, 1, nil, 0.1)
-	case "static":
-		cfg := scalingScenario(n, 1, nil, 0)
-		cfg.Model = mobility.Static{}
-		return cfg
-	default:
-		return scalingScenario(n, 1, nil, 1)
-	}
-}
-
-// stepEngine is the common stepping surface of the two cores.
-type stepEngine interface {
-	Step() error
-	Tallies() netsim.Tallies
-	MeanDegree() float64
-}
-
-// measureEventRows produces the event-core comparison rows: for each
-// variant, first run both engines over an identical window and require
-// equal tallies and mean degree (any divergence aborts the bench — a
-// speedup measured on a diverged stream is meaningless), then time
-// fresh instances of each engine after a warm-up.
-func measureEventRows(rep *Report, ns []int, ticks int, out io.Writer) error {
-	type spec struct {
-		kind string
-		n    int
-	}
-	rows := []spec{{"canonical", 400}, {"low", 400}, {"static", 400}}
-	for _, n := range ns {
-		rows = append(rows, spec{"low", n}, spec{"static", n})
-	}
-	for _, r := range rows {
-		row, err := measureEventRow(r.kind, r.n, ticks)
-		if err != nil {
-			return err
-		}
-		rep.EventCore = append(rep.EventCore, row)
-		fmt.Fprintf(out, "event-core %s n=%d: tick %.0f ns/tick, event %.0f ns/tick → %.2fx (topo skipped %.0f%%, phases skipped %.0f%%), bit-identical %v\n",
-			row.Name, row.N, row.TickNsPerTick, row.EventNsPerTick, row.Speedup,
-			100*row.SkippedTopoFrac, 100*row.SkippedPhaseFrac, row.BitIdentical)
-	}
-	return nil
-}
-
-// measureEventRow measures one comparison row.
-func measureEventRow(kind string, n, ticks int) (EventResult, error) {
-	cfg := eventScenario(n, kind)
-	if n > 400 {
-		ticks = ticks * 400 / n
-	}
-	if ticks < 30 {
-		ticks = 30
-	}
-
-	// Equivalence first: identical scenario, identical window, the two
-	// engines must agree on every tally and the final mean degree.
-	idTicks := ticks
-	if idTicks > 200 {
-		idTicks = 200
-	}
-	observe := func(sim stepEngine) (netsim.Tallies, float64, error) {
-		for i := 0; i < idTicks; i++ {
-			if err := sim.Step(); err != nil {
-				return netsim.Tallies{}, 0, err
-			}
-		}
-		return sim.Tallies(), sim.MeanDegree(), nil
-	}
-	tickSim, err := netsim.New(cfg)
-	if err != nil {
-		return EventResult{}, err
-	}
-	tickTal, tickDeg, err := observe(tickSim)
-	if err != nil {
-		return EventResult{}, err
-	}
-	evSim, err := eventsim.New(cfg)
-	if err != nil {
-		return EventResult{}, err
-	}
-	evTal, evDeg, err := observe(evSim)
-	if err != nil {
-		return EventResult{}, err
-	}
-	if tickTal != evTal || tickDeg != evDeg {
-		return EventResult{}, fmt.Errorf("event-core %s n=%d: engines diverged over %d ticks — lockstep contract broken", kind, n, idTicks)
-	}
-
-	time_ := func(sim stepEngine) (float64, error) {
-		warm := 200
-		if warm > ticks*2 && n > 400 {
-			warm = ticks * 2
-		}
-		for i := 0; i < warm; i++ {
-			if err := sim.Step(); err != nil {
-				return 0, err
-			}
-		}
-		runtime.GC()
-		t0 := time.Now()
-		for i := 0; i < ticks; i++ {
-			if err := sim.Step(); err != nil {
-				return 0, err
-			}
-		}
-		return float64(time.Since(t0).Nanoseconds()) / float64(ticks), nil
-	}
-	tickSim, err = netsim.New(cfg)
-	if err != nil {
-		return EventResult{}, err
-	}
-	tickNs, err := time_(tickSim)
-	if err != nil {
-		return EventResult{}, err
-	}
-	evSim, err = eventsim.New(cfg)
-	if err != nil {
-		return EventResult{}, err
-	}
-	evNs, err := time_(evSim)
-	if err != nil {
-		return EventResult{}, err
-	}
-	st := evSim.Stats()
-	return EventResult{
-		Name:             kind,
-		N:                n,
-		TickNsPerTick:    tickNs,
-		EventNsPerTick:   evNs,
-		Speedup:          tickNs / evNs,
-		SkippedTopoFrac:  float64(st.SkippedTopo) / float64(st.Ticks),
-		SkippedPhaseFrac: float64(st.SkippedPhases) / float64(st.Ticks),
-		BitIdentical:     true,
 	}, nil
 }
 

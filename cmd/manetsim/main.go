@@ -78,7 +78,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	policy := fs.String("policy", "lid", "clustering policy: lid, hcc, dmac")
 	mob := fs.String("mobility", "epoch-rwp", "mobility model: epoch-rwp, bcv, rwp, random-walk")
 	metric := fs.String("metric", "square", "distance metric: square, torus")
-	coreFlag := fs.String("core", "tick", "simulation engine: tick, event (lockstep-equivalent; results are identical)")
 	seed := fs.Uint64("seed", 42, "random seed")
 	events := fs.Float64("events", 40_000, "target link events for the measurement window")
 	border := fs.Bool("border", false, "include border (teleport) events in measurements")
@@ -139,14 +138,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown metric %q", *metric)
 	}
-	// The engine choice is deliberately absent from scenarioFingerprint:
-	// the cores are bit-identical, so a journal written under one engine
-	// resumes cleanly under the other.
-	engineCore, err := netsim.ParseCore(*coreFlag)
-	if err != nil {
-		return err
-	}
-	opts.Core = engineCore
 	switch *mob {
 	case "epoch-rwp":
 		opts.Mobility = experiments.MobilityEpochRWP

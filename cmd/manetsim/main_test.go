@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 func TestRunSmallScenario(t *testing.T) {
@@ -109,4 +112,39 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestScenarioFingerprintGolden pins the checkpoint fingerprint of two
+// canonical scenarios: the default flag set, and the journal header a
+// real run writes. Journals written by earlier builds must keep
+// resuming, so any change to scenarioFingerprint's fields or to the
+// flag wiring that feeds it fails here.
+func TestScenarioFingerprintGolden(t *testing.T) {
+	fp, err := checkpoint.Fingerprint(scenarioFingerprint{
+		Tool: "manetsim", N: 400, R: 1.5, V: 0.05, Density: 4,
+		Policy: "lid", Mob: "epoch-rwp", Metric: "square",
+		Seed: 42, Events: 40_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "0a04d691c3e062c3"; fp != want {
+		t.Errorf("default-flag fingerprint = %s, want %s", fp, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	if err := run(context.Background(), []string{"-n", "80", "-events", "800", "-checkpoint", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _, _, err = checkpoint.DecodeJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "a81f0397b3c9cb94"; fp != want {
+		t.Errorf("journal header fingerprint = %s, want %s", fp, want)
+	}
 }

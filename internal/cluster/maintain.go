@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/netsim"
 )
@@ -267,16 +266,6 @@ func (m *Maintainer) OnTick(float64) {
 			m.retryJoin(netsim.NodeID(i))
 		}
 	}
-}
-
-// NextWake implements netsim.Waker. Handshake mode advances its retry
-// clock (m.tick) unconditionally in OnTick, so the hook must run every
-// tick; oracle mode's OnTick is pure.
-func (m *Maintainer) NextWake(now float64) float64 {
-	if !m.handshake {
-		return math.Inf(1)
-	}
-	return now
 }
 
 // handleDown restores P2 when a member loses the link to its head.

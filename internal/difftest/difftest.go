@@ -1,30 +1,26 @@
-// Package difftest runs three independently built engines in lockstep
-// over one scenario and reports the first divergence: the brute-force
-// refsim oracle, the optimized tick engine (netsim), and the
-// event-driven core (eventsim). All three are built from the same
-// netsim.Config with identical protocol stacks (HELLO discovery, LID
-// cluster maintenance, hybrid routing), so after every tick the harness
-// can demand exact equality of positions, neighbor lists, link events,
-// message deliveries, tallies, and cluster state. A mismatch between
-// refsim and netsim points at a bug in the optimized data structures
-// (CSR adjacency, merge-walk diffing, ring queue); a mismatch between
-// netsim and eventsim points at an unsound skip certificate (crossing
-// prediction, Waker schedule, phase promotion).
+// Package difftest runs the optimized netsim engine and the brute-force
+// refsim oracle in two-way lockstep over one scenario and reports the
+// first divergence. Both engines are built from the same netsim.Config
+// with identical protocol stacks (HELLO discovery, LID cluster
+// maintenance, hybrid routing), so after every tick the harness can
+// demand exact equality of positions, neighbor lists, link events,
+// message deliveries, tallies, and cluster state. Any mismatch points at
+// a bug in the optimized data structures (CSR adjacency, merge-walk
+// diffing, ring queue) the reference engine deliberately avoids.
 package difftest
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/cluster"
-	"repro/internal/eventsim"
 	"repro/internal/faults"
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/netsim"
 	"repro/internal/refsim"
 	"repro/internal/routing"
+	"repro/internal/space"
 )
 
 // Scenario describes one lockstep run.
@@ -68,29 +64,7 @@ type engine interface {
 var (
 	_ engine = (*netsim.Sim)(nil)
 	_ engine = (*refsim.Sim)(nil)
-	_ engine = (*eventsim.Sim)(nil)
 )
-
-// engineKind selects which of the three engines a stack wraps.
-type engineKind int
-
-const (
-	engineRef engineKind = iota
-	engineTick
-	engineEvent
-)
-
-// label names the engine in divergence reports.
-func (k engineKind) label() string {
-	switch k {
-	case engineRef:
-		return "reference"
-	case engineTick:
-		return "optimized"
-	default:
-		return "event"
-	}
-}
 
 // delivery is one point delivery observed by the recorder: message ×
 // receiving node, in delivery order.
@@ -122,12 +96,6 @@ func (r *recorder) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 }
 func (r *recorder) OnTick(float64) {}
 
-// NextWake implements netsim.Waker: OnTick is empty, so the recorder
-// never needs a timer wake. Without this the event core would have to
-// run the protocol phase every tick and the lockstep would stop
-// exercising the skip paths it exists to validate.
-func (r *recorder) NextWake(float64) float64 { return math.Inf(1) }
-
 func (r *recorder) reset() {
 	r.events = r.events[:0]
 	r.deliveries = r.deliveries[:0]
@@ -135,9 +103,7 @@ func (r *recorder) reset() {
 
 // stack is one engine with its protocol instances.
 type stack struct {
-	kind  engineKind
 	eng   engine
-	ev    *eventsim.Sim // set when kind == engineEvent
 	inj   *faults.Injector
 	rec   *recorder
 	hello *routing.Hello
@@ -145,16 +111,16 @@ type stack struct {
 	route *routing.Hybrid
 }
 
-// build assembles one engine with a fresh protocol stack for the
-// scenario.
-func build(s Scenario, kind engineKind) (*stack, error) {
+// build assembles one engine (optimized or reference) with a fresh
+// protocol stack for the scenario.
+func build(s Scenario, optimized bool) (*stack, error) {
 	cfg := s.Cfg
 	if s.NewModel != nil {
 		cfg.Model = s.NewModel()
 	} else {
 		cfg.Model = mobility.Static{}
 	}
-	st := &stack{kind: kind, rec: &recorder{}}
+	st := &stack{rec: &recorder{}}
 	if s.Faults != nil {
 		inj, err := faults.New(*s.Faults)
 		if err != nil {
@@ -183,13 +149,9 @@ func build(s Scenario, kind engineKind) (*stack, error) {
 	if st.route, err = routing.NewHybrid(st.maint, routing.DefaultSizes); err != nil {
 		return nil, err
 	}
-	switch kind {
-	case engineTick:
+	if optimized {
 		st.eng, err = netsim.New(cfg)
-	case engineEvent:
-		st.ev, err = eventsim.New(cfg)
-		st.eng = st.ev
-	default:
+	} else {
 		st.eng, err = refsim.New(cfg)
 	}
 	if err != nil {
@@ -204,66 +166,65 @@ func build(s Scenario, kind engineKind) (*stack, error) {
 	return st, nil
 }
 
-// Lockstep builds all three engines for the scenario, steps them
-// together for Scenario.Ticks ticks and returns a descriptive error at
-// the first divergence (nil when the engines agree throughout).
+// Lockstep builds both engines for the scenario, steps them together
+// for Scenario.Ticks ticks and returns a descriptive error at the first
+// divergence (nil when the engines agree throughout).
 func Lockstep(s Scenario) error {
 	_, err := LockstepObserved(s)
 	return err
 }
 
-// LockstepObserved is Lockstep plus the event core's execution
-// counters, so callers can assert the run actually exercised the skip
-// fast paths (a lockstep that never skips proves nothing about the
-// event schedule).
-func LockstepObserved(s Scenario) (eventsim.Stats, error) {
-	var none eventsim.Stats
+// LockstepObserved is Lockstep plus the optimized engine's spatial-index
+// work over the stepped ticks, excluding the initial full build, so
+// callers can assert the run exercised the index's fast paths: a
+// lockstep in which no row is ever skipped proves nothing about the
+// skip rule.
+func LockstepObserved(s Scenario) (space.IndexStats, error) {
+	var none space.IndexStats
 	if s.Ticks <= 0 {
 		return none, fmt.Errorf("difftest %q: Ticks must be positive, got %d", s.Name, s.Ticks)
 	}
-	stacks := make([]*stack, 3)
-	for i, kind := range []engineKind{engineRef, engineTick, engineEvent} {
-		st, err := build(s, kind)
-		if err != nil {
-			return none, fmt.Errorf("difftest %q: build %s: %w", s.Name, kind.label(), err)
-		}
-		stacks[i] = st
+	ref, err := build(s, false)
+	if err != nil {
+		return none, fmt.Errorf("difftest %q: build reference: %w", s.Name, err)
 	}
-	ref, tickSt, evSt := stacks[0], stacks[1], stacks[2]
-	for _, st := range stacks {
-		if err := st.eng.Start(); err != nil {
-			return none, fmt.Errorf("difftest %q: start %s: %w", s.Name, st.kind.label(), err)
-		}
+	opt, err := build(s, true)
+	if err != nil {
+		return none, fmt.Errorf("difftest %q: build optimized: %w", s.Name, err)
 	}
-	compareAll := func(tick int) error {
-		if err := compare(s, tick, ref, tickSt); err != nil {
-			return err
-		}
-		return compare(s, tick, tickSt, evSt)
+	if err := ref.eng.Start(); err != nil {
+		return none, fmt.Errorf("difftest %q: start reference: %w", s.Name, err)
 	}
-	if err := compareAll(0); err != nil {
+	if err := opt.eng.Start(); err != nil {
+		return none, fmt.Errorf("difftest %q: start optimized: %w", s.Name, err)
+	}
+	if err := compare(s, 0, ref, opt); err != nil {
 		return none, err
 	}
+	idx := opt.eng.(*netsim.Sim)
+	built := idx.IndexStats()
 	for tick := 1; tick <= s.Ticks; tick++ {
-		var errs [3]error
-		for i, st := range stacks {
-			st.rec.reset()
-			errs[i] = st.eng.Step()
+		ref.rec.reset()
+		opt.rec.reset()
+		errRef := ref.eng.Step()
+		errOpt := opt.eng.Step()
+		if (errRef == nil) != (errOpt == nil) {
+			return none, fmt.Errorf("difftest %q: tick %d: step outcome diverged: reference=%v optimized=%v",
+				s.Name, tick, errRef, errOpt)
 		}
-		for i := 1; i < 3; i++ {
-			if (errs[0] == nil) != (errs[i] == nil) {
-				return none, fmt.Errorf("difftest %q: tick %d: step outcome diverged: %s=%v %s=%v",
-					s.Name, tick, stacks[0].kind.label(), errs[0], stacks[i].kind.label(), errs[i])
-			}
+		if errRef != nil {
+			return none, fmt.Errorf("difftest %q: tick %d: both engines failed: %w", s.Name, tick, errRef)
 		}
-		if errs[0] != nil {
-			return none, fmt.Errorf("difftest %q: tick %d: all engines failed: %w", s.Name, tick, errs[0])
-		}
-		if err := compareAll(tick); err != nil {
+		if err := compare(s, tick, ref, opt); err != nil {
 			return none, err
 		}
 	}
-	return evSt.ev.Stats(), nil
+	st := idx.IndexStats()
+	return space.IndexStats{
+		Ticks:         st.Ticks - built.Ticks,
+		RequeriedRows: st.RequeriedRows - built.RequeriedRows,
+		Teleports:     st.Teleports - built.Teleports,
+	}, nil
 }
 
 // compare demands exact equality of every observable the two stacks
@@ -272,7 +233,6 @@ func LockstepObserved(s Scenario) (eventsim.Stats, error) {
 // the reported divergence names the earliest broken layer, not a
 // downstream symptom.
 func compare(s Scenario, tick int, ref, opt *stack) error {
-	la, lb := ref.kind.label(), opt.kind.label()
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("difftest %q: tick %d: %s", s.Name, tick, fmt.Sprintf(format, args...))
 	}
@@ -280,49 +240,49 @@ func compare(s Scenario, tick int, ref, opt *stack) error {
 	for i := 0; i < n; i++ {
 		id := netsim.NodeID(i)
 		if ref.eng.Position(id) != opt.eng.Position(id) {
-			return fail("position of node %d: %s %v, %s %v",
-				i, la, ref.eng.Position(id), lb, opt.eng.Position(id))
+			return fail("position of node %d: reference %v, optimized %v",
+				i, ref.eng.Position(id), opt.eng.Position(id))
 		}
 	}
 	for i := 0; i < n; i++ {
 		id := netsim.NodeID(i)
 		if !slices.Equal(ref.eng.Neighbors(id), opt.eng.Neighbors(id)) {
-			return fail("neighbors of node %d: %s %v, %s %v",
-				i, la, ref.eng.Neighbors(id), lb, opt.eng.Neighbors(id))
+			return fail("neighbors of node %d: reference %v, optimized %v",
+				i, ref.eng.Neighbors(id), opt.eng.Neighbors(id))
 		}
 	}
 	if !slices.Equal(ref.rec.events, opt.rec.events) {
-		return fail("link events: %s %v, %s %v", la, ref.rec.events, lb, opt.rec.events)
+		return fail("link events: reference %v, optimized %v", ref.rec.events, opt.rec.events)
 	}
 	if !slices.Equal(ref.rec.deliveries, opt.rec.deliveries) {
-		return fail("delivery stream: %s has %d deliveries, %s %d; %s %v, %s %v",
-			la, len(ref.rec.deliveries), lb, len(opt.rec.deliveries), la, ref.rec.deliveries, lb, opt.rec.deliveries)
+		return fail("delivery stream: reference has %d deliveries, optimized %d; reference %v, optimized %v",
+			len(ref.rec.deliveries), len(opt.rec.deliveries), ref.rec.deliveries, opt.rec.deliveries)
 	}
 	if ref.eng.Tallies() != opt.eng.Tallies() {
-		return fail("tallies: %s %+v, %s %+v", la, ref.eng.Tallies(), lb, opt.eng.Tallies())
+		return fail("tallies: reference %+v, optimized %+v", ref.eng.Tallies(), opt.eng.Tallies())
 	}
 	if ref.eng.Delivered() != opt.eng.Delivered() || ref.eng.Dropped() != opt.eng.Dropped() {
-		return fail("delivery counters: %s %d/%d, %s %d/%d",
-			la, ref.eng.Delivered(), ref.eng.Dropped(), lb, opt.eng.Delivered(), opt.eng.Dropped())
+		return fail("delivery counters: reference %d/%d, optimized %d/%d",
+			ref.eng.Delivered(), ref.eng.Dropped(), opt.eng.Delivered(), opt.eng.Dropped())
 	}
 	for i := 0; i < n; i++ {
 		id := netsim.NodeID(i)
 		if ref.maint.RoleOf(id) != opt.maint.RoleOf(id) || ref.maint.HeadOf(id) != opt.maint.HeadOf(id) {
-			return fail("cluster state of node %d: %s %v/head %d, %s %v/head %d",
-				i, la, ref.maint.RoleOf(id), ref.maint.HeadOf(id), lb, opt.maint.RoleOf(id), opt.maint.HeadOf(id))
+			return fail("cluster state of node %d: reference %v/head %d, optimized %v/head %d",
+				i, ref.maint.RoleOf(id), ref.maint.HeadOf(id), opt.maint.RoleOf(id), opt.maint.HeadOf(id))
 		}
 	}
 	if ref.maint.Stats() != opt.maint.Stats() {
-		return fail("cluster cause stats: %s %+v, %s %+v", la, ref.maint.Stats(), lb, opt.maint.Stats())
+		return fail("cluster cause stats: reference %+v, optimized %+v", ref.maint.Stats(), opt.maint.Stats())
 	}
 	if ref.route.Stats() != opt.route.Stats() {
-		return fail("routing stats: %s %+v, %s %+v", la, ref.route.Stats(), lb, opt.route.Stats())
+		return fail("routing stats: reference %+v, optimized %+v", ref.route.Stats(), opt.route.Stats())
 	}
 	for i := 0; i < n; i++ {
 		id := netsim.NodeID(i)
 		if ref.hello.TableSize(id) != opt.hello.TableSize(id) {
-			return fail("hello table of node %d: %s %d entries, %s %d",
-				i, la, ref.hello.TableSize(id), lb, opt.hello.TableSize(id))
+			return fail("hello table of node %d: reference %d entries, optimized %d",
+				i, ref.hello.TableSize(id), opt.hello.TableSize(id))
 		}
 	}
 	return checkClusterOracle(s, ref, opt, fail)

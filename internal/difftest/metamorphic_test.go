@@ -69,7 +69,7 @@ func (m relabel) Step(p *mobility.Population, metric geom.Metric, dt float64, rn
 // stack for ticks steps and returns the stack for inspection.
 func runFullStack(t *testing.T, cfg netsim.Config, ticks int) *stack {
 	t.Helper()
-	st, err := build(Scenario{Name: "metamorphic", Cfg: cfg, NewModel: func() mobility.Model { return cfg.Model }}, engineTick)
+	st, err := build(Scenario{Name: "metamorphic", Cfg: cfg, NewModel: func() mobility.Model { return cfg.Model }}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func lockstepFaultPair(t *testing.T, label string, cfg netsim.Config, fa, fb *fa
 			Faults:    fc,
 			Handshake: handshake,
 		}
-		st, err := build(s, engineTick)
+		st, err := build(s, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/eventsim"
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/netsim"
@@ -53,12 +52,6 @@ type Options struct {
 	// Policy selects the clustering algorithm (default LID, the paper's
 	// case study).
 	Policy cluster.Policy
-	// Core selects the simulation engine every measurement runs on:
-	// netsim.CoreTick (the default dense stepper) or netsim.CoreEvent
-	// (the event-driven core). The cores are lockstep-equivalent, so
-	// every figure, table and sweep is bit-identical across the choice —
-	// the event core is purely a wall-clock optimization.
-	Core netsim.Core
 	// Workers bounds the worker pool that sweep drivers fan independent
 	// points across; 0 or negative selects GOMAXPROCS. Results are
 	// bit-identical for any value — see RunSweep.
@@ -273,10 +266,10 @@ func MeasureRates(net core.Network, opts Options) (Measured, error) {
 	duration := measureDuration(net, opts)
 	warmup := duration * opts.WarmupFrac
 
-	sim, err := newEngine(netsim.Config{
+	sim, err := netsim.New(netsim.Config{
 		N: net.N, Side: net.Side(), Range: net.R,
 		Metric: opts.Metric, Model: model, Dt: dt, Seed: opts.Seed,
-		Stop: stopCheck(opts.Ctx), Core: opts.Core,
+		Stop: stopCheck(opts.Ctx),
 	})
 	if err != nil {
 		return Measured{}, err
@@ -347,28 +340,6 @@ func MeasureRates(net core.Network, opts Options) (Measured, error) {
 		MeanDegree:     degSum / float64(samples),
 		Duration:       duration,
 	}, nil
-}
-
-// simEngine is the surface MeasureRates needs from a simulation core;
-// *netsim.Sim (tick) and *eventsim.Sim (event) both provide it.
-type simEngine interface {
-	Register(ps ...netsim.Protocol) error
-	Run(duration float64) error
-	Step() error
-	Tallies() netsim.Tallies
-	MeanDegree() float64
-}
-
-// newEngine builds the simulation core cfg.Core selects. This is the
-// single seam through which every experiment driver — and therefore
-// every figure, table, sweep worker and service job — picks its engine.
-func newEngine(cfg netsim.Config) (simEngine, error) {
-	switch cfg.Core {
-	case netsim.CoreEvent:
-		return eventsim.New(cfg)
-	default:
-		return netsim.New(cfg)
-	}
 }
 
 // measureStep derives the tick length: a node travels r·StepFrac per

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"repro/internal/checkpoint"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -147,7 +149,12 @@ func TestSweepSeedDeterministicAndDistinct(t *testing.T) {
 func TestRunSweepPointSetAndOnRecord(t *testing.T) {
 	ctx := context.Background()
 	shard := map[int]bool{1: true, 3: true}
-	var recs []string
+	// OnRecord may be called concurrently from worker goroutines, so the
+	// records are collected under a lock and compared in point order.
+	var (
+		mu   sync.Mutex
+		recs []string
+	)
 	res, err := RunSweepCtx(ctx, SweepOptions{
 		Name:     "s",
 		Seed:     7,
@@ -156,7 +163,9 @@ func TestRunSweepPointSetAndOnRecord(t *testing.T) {
 			if !rec.Verify() {
 				t.Errorf("point %d: record CRC invalid", rec.Point)
 			}
+			mu.Lock()
 			recs = append(recs, fmt.Sprintf("%s/%d/%d", rec.Sweep, rec.Point, rec.Seed))
+			mu.Unlock()
 		},
 	}, 5, func(_ context.Context, i int) (int, error) { return 10 * i, nil })
 	if err != nil {
@@ -170,6 +179,7 @@ func TestRunSweepPointSetAndOnRecord(t *testing.T) {
 			t.Errorf("Done[%d] = %v, want %v", i, res.Done[i], want)
 		}
 	}
+	sort.Strings(recs)
 	if got, want := fmt.Sprint(recs), "[s/1/7 s/3/7]"; got != want {
 		t.Errorf("records = %s, want %s", got, want)
 	}

@@ -74,22 +74,6 @@ func (m Metric) Dist2(p, q Vec2) float64 {
 // Dist returns the distance between p and q under the metric.
 func (m Metric) Dist(p, q Vec2) float64 { return math.Sqrt(m.Dist2(p, q)) }
 
-// Delta returns the displacement p − q under the metric: the plain
-// coordinate difference on the square, or the minimum-image difference
-// (each component mapped into [−Side/2, Side/2]) on the torus. It is the
-// vector whose norm Dist reports, so callers that extrapolate relative
-// motion (the event core's next-crossing prediction) stay consistent
-// with the engine's distance predicate.
-func (m Metric) Delta(p, q Vec2) Vec2 {
-	dx := p.X - q.X
-	dy := p.Y - q.Y
-	if m.kind == MetricTorus {
-		dx = wrapDelta(dx, m.side)
-		dy = wrapDelta(dy, m.side)
-	}
-	return Vec2{X: dx, Y: dy}
-}
-
 // Wrap maps a point back into [0,Side)×[0,Side) by wrapping coordinates
 // around the borders, and reports whether any coordinate wrapped.
 func (m Metric) Wrap(p Vec2) (Vec2, bool) {

@@ -8,49 +8,6 @@ import (
 	"repro/internal/mobility"
 )
 
-// Core selects the execution strategy for a scenario. It does not
-// change any observable output: both cores are required (and verified
-// by the three-way difftest lockstep) to produce bit-identical
-// link-event, delivery and tally streams for the same Config.
-type Core int
-
-const (
-	// CoreTick is the fixed-tick engine (netsim.Sim): every tick pays
-	// mobility, topology maintenance and the full protocol phase. The
-	// default.
-	CoreTick Core = iota
-	// CoreEvent is the event-driven engine (internal/eventsim): a
-	// min-heap of predicted link crossings, protocol timer wakes and
-	// pending deliveries decides which ticks need topology or protocol
-	// work; quiescent ticks cost O(1).
-	CoreEvent
-)
-
-// String implements fmt.Stringer; the names double as the CLI flag
-// vocabulary.
-func (c Core) String() string {
-	switch c {
-	case CoreTick:
-		return "tick"
-	case CoreEvent:
-		return "event"
-	default:
-		return fmt.Sprintf("Core(%d)", int(c))
-	}
-}
-
-// ParseCore maps the CLI vocabulary back to a Core.
-func ParseCore(s string) (Core, error) {
-	switch s {
-	case "tick", "":
-		return CoreTick, nil
-	case "event":
-		return CoreEvent, nil
-	default:
-		return 0, fmt.Errorf("netsim: unknown core %q (want tick or event)", s)
-	}
-}
-
 // Config describes one simulation scenario.
 type Config struct {
 	// N is the number of nodes.
@@ -66,9 +23,8 @@ type Config struct {
 	// Model is the mobility model. Defaults to Static.
 	Model mobility.Model
 	// Dt is the tick length. It should be small enough that nodes move a
-	// small fraction of Range per tick. Defaults to Range/(20·speed
-	// scale) heuristics are the caller's job; a positive value is
-	// required here.
+	// small fraction of Range per tick. It has no default: choosing it is
+	// the caller's job, and it must be positive and finite.
 	Dt float64
 	// Seed roots all randomness of the run.
 	Seed uint64
@@ -90,14 +46,6 @@ type Config struct {
 	// (disjoint CSR segments), and the merge order is fixed by node ID,
 	// not by goroutine scheduling.
 	Tiles int
-	// Core selects the execution strategy. netsim.New itself always
-	// builds the tick engine regardless of this field (eventsim wraps
-	// netsim, so the dependency cannot point the other way); engine
-	// factories — experiments, difftest, the CLIs — consult it to pick
-	// between netsim.New and eventsim.New. It is deliberately excluded
-	// from scenario fingerprints: both cores produce bit-identical
-	// results, so artifacts and resume journals stay interchangeable.
-	Core Core
 	// Stop is an optional cooperative cancellation check, consulted once
 	// at the top of every Step before any state advances. When it
 	// returns true, Step (and therefore Run) fails with ErrStopped and
@@ -143,9 +91,6 @@ func (c Config) Validate() error {
 	}
 	if c.Tiles < 0 {
 		return fmt.Errorf("netsim: tiles must be non-negative, got %d", c.Tiles)
-	}
-	if c.Core != CoreTick && c.Core != CoreEvent {
-		return fmt.Errorf("netsim: unknown core %d", int(c.Core))
 	}
 	return nil
 }

@@ -134,30 +134,6 @@ type Protocol interface {
 	OnTick(now float64)
 }
 
-// Waker is an optional Protocol extension consumed by the event-driven
-// core (internal/eventsim). NextWake returns the earliest simulation
-// time at which the protocol's OnTick does observable work given its
-// current state — the core certifies that skipping OnTick before that
-// time is a no-op. Three regimes:
-//
-//   - A return of +Inf means OnTick is currently pure (no timers armed);
-//     the core may skip it until the protocol's state changes, which can
-//     only happen on a tick with link events or message traffic — and
-//     the core always runs the full phase on the tick after any such
-//     activity, re-querying NextWake.
-//   - A return at or below now means OnTick must run every tick (e.g. a
-//     per-tick retry counter).
-//   - Any future time schedules a wake-up; waking early is harmless
-//     (OnTick is then a no-op and NextWake is asked again), waking late
-//     would diverge from the tick engine, so implementations must never
-//     round expiry times up.
-//
-// Protocols that do not implement Waker force the event core to run the
-// protocol phase on every tick — always correct, never fast.
-type Waker interface {
-	NextWake(now float64) float64
-}
-
 // Env is the engine surface protocols program against.
 type Env interface {
 	// Now returns the current simulation time.

@@ -97,9 +97,6 @@ type Sim struct {
 	// allocated on the first non-zero Fate.Delay, so media that never
 	// delay cost nothing.
 	pending *pendingQueue
-	// stepBroadcasts counts accepted broadcasts within the current phase;
-	// StepControlled resets it and folds it into StepReport.Active.
-	stepBroadcasts int
 }
 
 var _ Env = (*Sim)(nil)
@@ -191,57 +188,12 @@ func (s *Sim) Start() error {
 // stop-check requests cancellation, Step returns ErrStopped before any
 // state advances.
 func (s *Sim) Step() error {
-	_, err := s.StepControlled(StepControl{RunPhase: true})
-	return err
-}
-
-// StepControl lets a scheduling layer (the event-driven core) elide
-// provably redundant work inside one tick. The zero value with RunPhase
-// set reproduces Step exactly; every Skip flag is a caller-supplied
-// certificate, not a request the engine validates.
-type StepControl struct {
-	// SkipMobility certifies that the mobility model's Step would leave
-	// the population (positions, Wrapped flags, model scratch) and the
-	// mobility RNG stream untouched this tick.
-	SkipMobility bool
-	// SkipTopo certifies that the adjacency is provably identical to the
-	// previous tick's, so topology maintenance (and therefore the link
-	// event diff) can be skipped wholesale.
-	SkipTopo bool
-	// RunPhase forces the protocol phase (pending releases, queue
-	// drains, OnTick) even when nothing is scheduled. Regardless of its
-	// value the engine promotes the phase itself whenever it is
-	// observably required: link events fired, broadcasts are queued, or
-	// parked deliveries come due this tick.
-	RunPhase bool
-}
-
-// StepReport describes what one controlled step actually did, so the
-// scheduling layer can decide what to re-arm.
-type StepReport struct {
-	// PhaseRan reports whether the protocol phase executed (requested or
-	// engine-promoted). When false, no protocol hook ran this tick and
-	// no message moved.
-	PhaseRan bool
-	// Events is the number of link events diffed this tick.
-	Events int
-	// Active reports observable activity: link events, broadcasts, or
-	// point deliveries/drops. An active tick may have changed protocol
-	// state at any point up to the final queue drain, so the scheduler
-	// must run the next tick's phase unconditionally to let per-tick
-	// hooks observe the settled state exactly as the tick engine would.
-	Active bool
-}
-
-// StepControlled is Step with scheduling hints; see StepControl. It
-// returns a report of the work performed.
-func (s *Sim) StepControlled(ctl StepControl) (StepReport, error) {
 	if s.stop != nil && s.stop() {
-		return StepReport{}, ErrStopped
+		return ErrStopped
 	}
 	if !s.started {
 		if err := s.Start(); err != nil {
-			return StepReport{}, err
+			return err
 		}
 	}
 	s.tick++
@@ -249,9 +201,7 @@ func (s *Sim) StepControlled(ctl StepControl) (StepReport, error) {
 
 	// 1. Mobility, then fault-state advancement (churn schedules). The
 	// index shares pop.Pos, so mobility writes need no copy pass.
-	if !ctl.SkipMobility {
-		s.model.Step(s.pop, s.metric, s.cfg.Dt, s.rngMob)
-	}
+	s.model.Step(s.pop, s.metric, s.cfg.Dt, s.rngMob)
 	if s.medium != nil {
 		s.medium.Advance(s.tick)
 		s.refreshAlive()
@@ -261,27 +211,14 @@ func (s *Sim) StepControlled(ctl StepControl) (StepReport, error) {
 	// the rows whose drift budget is spent (all rows when a medium is
 	// active: fault flips are not motion-driven, so margins cannot see
 	// them). Zero flagged rows proves the adjacency is unchanged — the
-	// stationary fast path skips the rebuild and the diff outright. The
-	// index's drift budgets are measured against each row's last
-	// recomputation, not the previous call, so Begin stays sound across
-	// ticks a certificate skipped entirely.
-	if ctl.SkipTopo {
-		s.events = s.events[:0]
-	} else if dirty := s.index.Begin(s.medium != nil); dirty == 0 {
+	// stationary fast path skips the rebuild and the diff outright.
+	if dirty := s.index.Begin(s.medium != nil); dirty == 0 {
 		s.events = s.events[:0]
 	} else {
 		s.adj, s.prevAdj = s.prevAdj, s.adj
 		s.rebuildRows()
 		s.diffAdjacency()
 	}
-
-	rep := StepReport{Events: len(s.events)}
-	rep.PhaseRan = ctl.RunPhase || len(s.events) > 0 || len(s.queue) > 0 || s.pendingDue()
-	if !rep.PhaseRan {
-		return rep, nil
-	}
-	s.stepBroadcasts = 0
-	movedBase := s.delivered + s.dropped
 
 	// 3. Protocols observe link events.
 	for _, ev := range s.events {
@@ -306,45 +243,14 @@ func (s *Sim) StepControlled(ctl StepControl) (StepReport, error) {
 	// receivers; responses they trigger drain with the link-event traffic.
 	s.releasePending()
 	if err := s.drainQueue(); err != nil {
-		return rep, err
+		return err
 	}
 
 	// 4. Per-tick protocol work (timers, periodic traffic).
 	for _, p := range s.protocols {
 		p.OnTick(s.now)
 	}
-	if err := s.drainQueue(); err != nil {
-		return rep, err
-	}
-	rep.Active = len(s.events) > 0 || s.stepBroadcasts > 0 || s.delivered+s.dropped > movedBase
-	return rep, nil
-}
-
-// pendingDue reports whether the pending queue holds entries (live or
-// tombstoned) due at the current tick. Tombstoned entries count: the
-// tick engine clears them via releasePending on their due tick, and the
-// ring's bucket-reuse invariant relies on that clearing.
-func (s *Sim) pendingDue() bool {
-	if s.pending == nil {
-		return false
-	}
-	return len(s.pending.buckets[s.tick%int64(len(s.pending.buckets))]) > 0
-}
-
-// PendingNextDue returns the earliest tick at which a parked delayed
-// delivery comes due; ok is false when nothing is parked. The event
-// core uses it to schedule the pending-release wake-up.
-func (s *Sim) PendingNextDue() (tick int64, ok bool) {
-	if s.pending == nil {
-		return 0, false
-	}
-	l := int64(len(s.pending.buckets))
-	for d := int64(1); d <= MaxDelayTicks; d++ {
-		if len(s.pending.buckets[(s.tick+d)%l]) > 0 {
-			return s.tick + d, true
-		}
-	}
-	return 0, false
+	return s.drainQueue()
 }
 
 // Run advances the simulation by the given duration (rounded down to
@@ -407,12 +313,6 @@ func (s *Sim) IndexStats() space.IndexStats { return s.index.Stats() }
 // Tick returns the current tick number (0 before the first Step).
 func (s *Sim) Tick() int64 { return s.tick }
 
-// Population exposes the node kinematic state for read-only inspection.
-// The event core's crossing predictor reads positions and model scratch
-// (headings, epoch remainders) through it; mutating anything would break
-// the engine's determinism.
-func (s *Sim) Population() *mobility.Population { return s.pop }
-
 // Broadcast implements Env. Messages with an out-of-range sender or an
 // unknown kind indicate a protocol bug; they are dropped and counted in
 // Tallies().Invalid so tests can assert none occurred. Broadcasts from a
@@ -438,7 +338,6 @@ func (s *Sim) Broadcast(msg Message) {
 		s.tallies.byKindBorder[idx].Msgs++
 		s.tallies.byKindBorder[idx].Bits += msg.Bits
 	}
-	s.stepBroadcasts++
 	s.queue = append(s.queue, msg)
 }
 

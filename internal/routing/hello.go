@@ -8,7 +8,6 @@ package routing
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/netsim"
 )
@@ -146,27 +145,6 @@ func (h *Hello) OnTick(now float64) {
 			}
 		}
 	}
-}
-
-// NextWake implements netsim.Waker. In lower-bound mode OnTick is pure,
-// so the wake is +Inf. In periodic mode the next observable action is
-// the earlier of the next beacon (lastSent + interval) and the earliest
-// soft-timer expiry; expiry is strict (now > t + timeout), so a wake
-// landing exactly on t + timeout is a harmless no-op and the event core
-// retries one tick later.
-func (h *Hello) NextWake(float64) float64 {
-	if h.mode != HelloPeriodic {
-		return math.Inf(1)
-	}
-	next := h.lastSent + h.interval
-	for _, tbl := range h.heard {
-		for _, t := range tbl {
-			if e := t + h.timeout; e < next {
-				next = e
-			}
-		}
-	}
-	return next
 }
 
 // beacon broadcasts one sequence-stamped HELLO from the given node.

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/netsim"
@@ -168,14 +167,6 @@ func (h *Hybrid) OnMessage(netsim.NodeID, netsim.Message) {}
 func (h *Hybrid) OnTick(float64) {
 	h.snapshotHeads()
 }
-
-// NextWake implements netsim.Waker. The snapshot OnTick refreshes can
-// only go stale on a tick with cluster activity (link events or
-// message traffic), and the event core always runs the full phase —
-// including this OnTick — on the tick after any activity, which is
-// exactly when a tick engine's snapshot would next be consulted with
-// refreshed contents. So no standalone timer is needed.
-func (h *Hybrid) NextWake(float64) float64 { return math.Inf(1) }
 
 // Stats returns a snapshot of the activity counters.
 func (h *Hybrid) Stats() Stats { return h.stats }

@@ -134,6 +134,29 @@ func TestFingerprintIgnoresTenantAndDeadline(t *testing.T) {
 	}
 }
 
+// TestFingerprintGolden pins JobSpec.Fingerprint for one canonical
+// measure spec and one figure spec. Result caches, job-log entries and
+// resume journals are keyed by these strings, so state written by
+// earlier builds must keep matching.
+func TestFingerprintGolden(t *testing.T) {
+	for _, c := range []struct{ body, want string }{
+		{`{"kind":"measure","n":400,"r":1.5,"v":0.05,"density":4,"policy":"lid","mobility":"epoch-rwp","metric":"square","seed":42,"events":4000}`, "87a8ca804dd056ff"},
+		{`{"kind":"figure","fig":1,"seed":42,"events":4000}`, "b8f2463d16db170a"},
+	} {
+		s, err := DecodeJobSpec(strings.NewReader(c.body), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := s.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != c.want {
+			t.Errorf("%s: fingerprint = %s, want %s", c.body, fp, c.want)
+		}
+	}
+}
+
 func TestSpecDeadlineClamping(t *testing.T) {
 	def, max := 10*time.Second, 60*time.Second
 	if d := (JobSpec{}).Deadline(def, max); d != def {

@@ -1,3 +1,8 @@
+// Package space provides an incrementally maintained uniform-grid
+// spatial index over node positions in a square region. Neighbor queries
+// within a fixed radius touch only the cells around a point, making
+// whole-network topology maintenance O(N·d) per tick instead of O(N²),
+// and rows no node's motion can have changed are not recomputed at all.
 package space
 
 import (
@@ -29,10 +34,10 @@ type IndexStats struct {
 }
 
 // Index is an incrementally maintained spatial index over a population of
-// moving positions. Unlike Grid, which is rebuilt from scratch every
-// tick, Index keeps its cell buckets current by moving only the nodes
-// whose cell changed, and tells the caller which neighbor rows actually
-// need recomputation ("requery") each tick. A row can be skipped soundly
+// moving positions. Rather than rebuilding a cell grid from scratch
+// every tick, Index keeps its cell buckets current by moving only the
+// nodes whose cell changed, and tells the caller which neighbor rows
+// actually need recomputation ("requery") each tick. A row can be skipped soundly
 // while the total displacement budget since its last recomputation stays
 // below the row's cached distance margin to the nearest link flip.
 //

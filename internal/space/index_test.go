@@ -64,6 +64,8 @@ func TestIndexMatchesRescanHighChurn(t *testing.T) {
 		{"square-fast", geom.MetricSquare, 80, 8, 1.0, 0.35},
 		{"torus-whole-axis", geom.MetricTorus, 40, 2, 1.5, 0.2},
 		{"square-whole-axis", geom.MetricSquare, 40, 2, 1.5, 0.2},
+		{"torus-single-cell", geom.MetricTorus, 30, 2, 1.9, 0.15},
+		{"square-radius-exceeds-side", geom.MetricSquare, 30, 10, 25, 0.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
