@@ -18,14 +18,15 @@ race:
 # mode under the race detector (this includes the 24-scenario two-way
 # differential lockstep matrix and the metamorphic/conformance gates of
 # internal/difftest), and short fuzz smokes over the checkpoint journal
-# decoder, the netsim config validator, the pending-delivery queue, the
-# faults config validator, the daemon's HTTP job-spec decoder, the
-# distributed-sweep wire protocol (lease grants plus the coordinator's
-# claim/heartbeat/result/done decoders), and the storage fault-plan
-# decoder.
+# and job-log decoders, the netsim config validator, the
+# pending-delivery queue, the faults config validator, the daemon's
+# HTTP job-spec decoder, the distributed-sweep wire protocol (lease
+# grants plus the coordinator's claim/heartbeat/result/done decoders),
+# and the storage fault-plan decoder.
 check:
 	go vet ./... && go test -race -short -count=1 ./...
 	go test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 5s ./internal/checkpoint
+	go test -run '^$$' -fuzz FuzzJobLogDecode -fuzztime 5s ./internal/checkpoint
 	go test -run '^$$' -fuzz FuzzFaultPlanDecode -fuzztime 5s ./internal/vfs
 	go test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 5s ./internal/netsim
 	go test -run '^$$' -fuzz FuzzPendingQueue -fuzztime 5s ./internal/netsim

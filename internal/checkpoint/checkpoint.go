@@ -1,28 +1,32 @@
-// Package checkpoint makes long-running parameter sweeps crash-safe.
+// Package checkpoint makes long-running parameter sweeps and the
+// simulation daemon crash-safe.
 //
-// It provides two building blocks:
+// Its two logs share one durable append log (appendLog, log.go): a
+// JSONL file whose first line is a magic header and whose records each
+// carry a CRC-32C, fsynced before an append is acknowledged, with a
+// failed write repaired or the log poisoned. A process killed at any
+// instant therefore leaves a log whose damage is confined to a
+// partially written tail record, and reopening it salvages the valid
+// prefix instead of failing the run.
 //
-//   - Journal: an append-only JSONL log of completed sweep points. Every
-//     record carries the sweep name, point index, sweep seed, the
-//     JSON-encoded point result and a CRC over all of them, and every
-//     append is fsynced before it is acknowledged. A process killed at
-//     any instant therefore leaves a journal whose damage is confined to
-//     a partially written tail record, and the loader salvages the valid
-//     prefix instead of failing the run. Re-running a sweep against the
-//     same journal skips journaled points and replays their cached
-//     results, so an interrupted-then-resumed sweep reproduces the
-//     uninterrupted run byte for byte (results round-trip exactly:
-//     encoding/json renders float64 in shortest form, which parses back
-//     to the identical bits).
+//   - Journal: completed sweep points, keyed by sweep name, point index
+//     and sweep seed. Re-running a sweep against the same journal skips
+//     journaled points and replays their cached results, so an
+//     interrupted-then-resumed sweep reproduces the uninterrupted run
+//     byte for byte (results round-trip exactly: encoding/json renders
+//     float64 in shortest form, which parses back to the identical
+//     bits). A journal is bound to a config fingerprint (Fingerprint):
+//     resuming with different experiment parameters is refused rather
+//     than silently mixing results from two incompatible runs.
 //
-//   - Atomic file writes: WriteFileAtomic and AtomicFile commit result
-//     artifacts (CSV, JSON, traces) with the temp-file + fsync + rename
-//     idiom, so readers never observe a torn file and a crash mid-write
-//     leaves the previous version intact.
+//   - JobLog: the service daemon's sequence-numbered job-state
+//     transitions, from which a restarted daemon recovers the jobs that
+//     were in flight when it died.
 //
-// A journal is bound to a config fingerprint (Fingerprint): resuming
-// with different experiment parameters is refused rather than silently
-// mixing results from two incompatible runs.
+// Atomic file writes (WriteFileAtomic, AtomicFile) commit result
+// artifacts (CSV, JSON, traces) with the temp-file + fsync + rename
+// idiom, so readers never observe a torn file and a crash mid-write
+// leaves the previous version intact.
 package checkpoint
 
 import (
@@ -79,74 +83,16 @@ func (r Record) checksum() uint32 {
 	return h.Sum32()
 }
 
-// header is the first journal line; it binds the file to a format
-// version and a config fingerprint.
-type header struct {
-	Magic       string `json:"journal"`
-	Version     int    `json:"v"`
-	Fingerprint string `json:"fp"`
-}
-
-const (
-	journalMagic   = "manet-sweep"
-	journalVersion = 1
-)
-
 // DecodeJournal parses journal bytes tolerantly. It returns the config
 // fingerprint, every intact record, and the byte length of the valid
-// prefix. Decoding stops at the first damaged line — a torn tail from a
-// crash mid-append, a flipped byte caught by the CRC, or a missing
-// final newline — and everything before it is salvaged; such damage is
-// not an error. Only an unusable header (so nothing can be salvaged)
-// returns a non-nil error.
+// prefix. Decoding stops at the first damaged line (a torn tail, a CRC
+// mismatch, a missing final newline) and salvages everything before
+// it; such damage is not an error. Only an unusable header is.
 func DecodeJournal(data []byte) (fingerprint string, records []Record, valid int, err error) {
-	line, rest, ok := cutLine(data)
-	if !ok {
-		return "", nil, 0, fmt.Errorf("checkpoint: journal header missing or truncated")
-	}
-	var h header
-	if err := json.Unmarshal(line, &h); err != nil {
-		return "", nil, 0, fmt.Errorf("checkpoint: journal header: %w", err)
-	}
-	if h.Magic != journalMagic || h.Version != journalVersion || h.Fingerprint == "" {
-		return "", nil, 0, fmt.Errorf("checkpoint: not a v%d %s journal header: %q", journalVersion, journalMagic, line)
-	}
-	valid = len(data) - len(rest)
-	for {
-		line, next, ok := cutLine(rest)
-		if !ok {
-			return h.Fingerprint, records, valid, nil
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil ||
-			r.Point < 0 || r.Result == nil || r.Sum != r.checksum() {
-			return h.Fingerprint, records, valid, nil
-		}
-		records = append(records, r)
-		rest = next
-		valid = len(data) - len(rest)
-	}
-}
-
-// cutLine splits off the first newline-terminated line. A final line
-// with no terminating newline is not returned: an append crashed before
-// completing it.
-func cutLine(data []byte) (line, rest []byte, ok bool) {
-	for i, c := range data {
-		if c == '\n' {
-			return data[:i], data[i+1:], true
-		}
-	}
-	return nil, data, false
-}
-
-// encodeHeader renders the journal's first line.
-func encodeHeader(fingerprint string) ([]byte, error) {
-	b, err := json.Marshal(header{Magic: journalMagic, Version: journalVersion, Fingerprint: fingerprint})
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	h, records, valid, err := decodeLog(data, "journal",
+		func(h header) bool { return h.Magic == journalMagic && h.Version == logVersion && h.Fingerprint != "" },
+		func(r *Record) bool { return r.Point >= 0 && r.Result != nil && r.Verify() })
+	return h.Fingerprint, records, valid, err
 }
 
 // Fingerprint derives a short stable hash of an arbitrary configuration

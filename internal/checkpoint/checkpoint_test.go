@@ -66,6 +66,48 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// A journal's live view must agree with the view a reopen replays:
+// both index a record by (sweep, point, seed) and keep the first one
+// committed, so a point journaled under a second seed resumes after a
+// restart, and a re-appended point keeps its first result.
+func TestJournalLiveViewMatchesReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := Open(path, "fp-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := []struct {
+		seed   uint64
+		result string
+	}{{1, `"x"`}, {2, `"y"`}, {2, `"z"`}}
+	for _, a := range appends {
+		if err := j.AppendRaw("s", 0, a.seed, json.RawMessage(a.result)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(view string, j *Journal) {
+		t.Helper()
+		for seed, want := range map[uint64]string{1: `"x"`, 2: `"y"`} {
+			if raw, ok := j.Lookup("s", 0, seed); !ok || string(raw) != want {
+				t.Errorf("%s view: Lookup(s, 0, seed %d) = %s, %v; want %s", view, seed, raw, ok, want)
+			}
+		}
+		if got := j.Completed(); got != 2 {
+			t.Errorf("%s view: Completed() = %d, want 2", view, got)
+		}
+	}
+	check("live", j)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := Open(path, "fp-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	check("reopened", j2)
+}
+
 func TestJournalFingerprintMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, err := Open(path, "fp-a")

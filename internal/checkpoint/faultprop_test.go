@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/vfs"
@@ -29,87 +30,185 @@ import (
 
 const propPoints = 6
 
-// journalOutcome is what one faulted workload left behind.
-type journalOutcome struct {
-	acked   map[int]bool // points whose Append returned nil
-	openErr error
-	path    string
+// propLog adapts one log type to the shared fault-property suite. Both
+// logs run on the same appendLog core, and both are held to the same
+// properties under the same fault matrix.
+type propLog struct {
+	file string
+	// name formats a single-fault subtest name. The two spellings are
+	// kept as they were before the logs shared this suite, so every
+	// case keeps its test ID: journal cases always spell the sticky
+	// flag, job-log cases only when it is set.
+	name func(vfs.Fault) string
+	// run opens the log over fsys, appends propPoints records and
+	// closes it, reporting which appends were acknowledged.
+	run func(fsys vfs.FS, path string) (acked map[int]bool, openErr error)
+	// decode decodes the on-disk bytes, failing the test on a decode
+	// error or on any record the workload did not write, and returns
+	// the indices of the decoded records.
+	decode func(t *testing.T, data []byte) map[int]bool
+	// reopen reopens the log through the clean OS, as a restarted
+	// process would, and checks that it resumes every acknowledged
+	// record and accepts one more append.
+	reopen func(t *testing.T, path string, acked map[int]bool)
 }
 
-func runJournalWorkload(t *testing.T, plan vfs.Plan) journalOutcome {
-	t.Helper()
-	out := journalOutcome{
-		acked: map[int]bool{},
-		path:  filepath.Join(t.TempDir(), "sweep.ckpt"),
-	}
-	fsys := vfs.NewFaulty(vfs.OS, plan)
-	j, err := OpenFS(fsys, out.path, "fp-prop")
-	if err != nil {
-		out.openErr = err
-		return out
-	}
-	for i := 0; i < propPoints; i++ {
-		if err := j.Append("fig1", i, uint64(100+i), []float64{float64(i), 0.5}); err == nil {
-			out.acked[i] = true
+var journalProp = propLog{
+	file: "sweep.ckpt",
+	name: func(ft vfs.Fault) string {
+		return fmt.Sprintf("%s-%s-n%d-sticky%v", ft.Op, ft.Kind, ft.Nth, ft.Sticky)
+	},
+	run: func(fsys vfs.FS, path string) (map[int]bool, error) {
+		j, err := OpenFS(fsys, path, "fp-prop")
+		if err != nil {
+			return nil, err
 		}
-	}
-	j.Close()
-	return out
+		acked := map[int]bool{}
+		for i := 0; i < propPoints; i++ {
+			if err := j.Append("fig1", i, uint64(100+i), []float64{float64(i), 0.5}); err == nil {
+				acked[i] = true
+			}
+		}
+		j.Close()
+		return acked, nil
+	},
+	decode: func(t *testing.T, data []byte) map[int]bool {
+		fp, recs, _, err := DecodeJournal(data)
+		if err != nil {
+			t.Fatalf("on-disk journal does not decode: %v", err)
+		}
+		if fp != "fp-prop" {
+			t.Fatalf("fingerprint %q", fp)
+		}
+		decoded := map[int]bool{}
+		for _, r := range recs {
+			if r.Sweep != "fig1" || r.Point < 0 || r.Point >= propPoints ||
+				r.Seed != uint64(100+r.Point) || !r.Verify() {
+				t.Fatalf("decoded record not among the appended ones: %+v", r)
+			}
+			decoded[r.Point] = true
+		}
+		return decoded
+	},
+	reopen: func(t *testing.T, path string, acked map[int]bool) {
+		j, err := Open(path, "fp-prop")
+		if err != nil {
+			t.Fatalf("clean reopen after fault: %v", err)
+		}
+		defer j.Close()
+		for p := range acked {
+			if !j.Has("fig1", p, uint64(100+p)) {
+				t.Fatalf("acknowledged point %d not resumable", p)
+			}
+		}
+		if err := j.Append("fig1", propPoints, 100+propPoints, []float64{0.5}); err != nil {
+			t.Fatalf("append after clean reopen: %v", err)
+		}
+	},
 }
 
-func checkJournalOutcome(t *testing.T, out journalOutcome) {
+var jobLogProp = propLog{
+	file: "jobs.log",
+	name: func(ft vfs.Fault) string {
+		if ft.Sticky {
+			return fmt.Sprintf("%s-%s-n%d-sticky", ft.Op, ft.Kind, ft.Nth)
+		}
+		return fmt.Sprintf("%s-%s-n%d", ft.Op, ft.Kind, ft.Nth)
+	},
+	run: func(fsys vfs.FS, path string) (map[int]bool, error) {
+		l, _, err := OpenJobLogFS(fsys, path)
+		if err != nil {
+			return nil, err
+		}
+		acked := map[int]bool{}
+		for i := 0; i < propPoints; i++ {
+			rec := JobRecord{ID: fmt.Sprintf("j%03d", i), State: JobAccepted, Fingerprint: "fp", Note: "prop"}
+			if err := l.Append(rec); err == nil {
+				acked[i] = true
+			}
+		}
+		l.Close()
+		return acked, nil
+	},
+	decode: func(t *testing.T, data []byte) map[int]bool {
+		recs, _, err := DecodeJobLog(data)
+		if err != nil {
+			t.Fatalf("on-disk job log does not decode: %v", err)
+		}
+		decoded := map[int]bool{}
+		for _, r := range recs {
+			var i int
+			if _, err := fmt.Sscanf(r.ID, "j%03d", &i); err != nil || i < 0 || i >= propPoints ||
+				r.State != JobAccepted || r.Fingerprint != "fp" || r.Note != "prop" || r.Sum != r.checksum() {
+				t.Fatalf("decoded record not among the appended ones: %+v", r)
+			}
+			decoded[i] = true
+		}
+		return decoded
+	},
+	reopen: func(t *testing.T, path string, acked map[int]bool) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := DecodeJobLog(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, recs, err := OpenJobLog(path)
+		if err != nil {
+			t.Fatalf("clean reopen after fault: %v", err)
+		}
+		defer l.Close()
+		if !reflect.DeepEqual(recs, want) {
+			t.Fatalf("reopen returned %+v, decoded %+v", recs, want)
+		}
+		next := 1
+		if len(recs) > 0 {
+			next = recs[len(recs)-1].Seq + 1
+		}
+		if got := l.NextSeq(); got != next {
+			t.Fatalf("NextSeq = %d after reopen, want %d", got, next)
+		}
+		if err := l.Append(JobRecord{ID: "jnext", State: JobAccepted}); err != nil {
+			t.Fatalf("append after clean reopen: %v", err)
+		}
+	},
+}
+
+// checkFaultProperty runs lg's workload under plan and checks the
+// three properties plus a clean reopen.
+func checkFaultProperty(t *testing.T, lg propLog, plan vfs.Plan) {
 	t.Helper()
-	data, err := os.ReadFile(out.path)
+	path := filepath.Join(t.TempDir(), lg.file)
+	acked, openErr := lg.run(vfs.NewFaulty(vfs.OS, plan), path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		// The header never landed; that is only legal if Open itself
-		// failed loudly.
-		if out.openErr == nil {
-			t.Fatalf("journal file missing but Open succeeded")
+		// The header never landed; that is only legal if the open
+		// itself failed loudly.
+		if openErr == nil {
+			t.Fatalf("log file missing but the open succeeded")
 		}
 		return
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Property 1: whatever the fault did, the file decodes. The header
-	// is atomic (temp file + rename) and appends repair torn tails, so
-	// a decode error here would mean acknowledged state is unreadable.
-	fp, recs, _, derr := DecodeJournal(data)
-	if derr != nil {
-		t.Fatalf("on-disk journal does not decode: %v", derr)
-	}
-	if fp != "fp-prop" {
-		t.Fatalf("fingerprint %q", fp)
-	}
-	decoded := map[int]bool{}
-	for _, r := range recs {
-		// Property 3: only records the workload wrote, bit-exact.
-		if r.Sweep != "fig1" || r.Point < 0 || r.Point >= propPoints ||
-			r.Seed != uint64(100+r.Point) || !r.Verify() {
-			t.Fatalf("decoded record not among the appended ones: %+v", r)
-		}
-		decoded[r.Point] = true
-	}
+	// Properties 1 and 3: whatever the fault did, the file decodes to
+	// records the workload wrote, bit-exact. The header is atomic (temp
+	// file + rename) and appends repair torn tails, so a decode error
+	// here would mean acknowledged state is unreadable.
+	decoded := lg.decode(t, data)
 	// Property 2: acked ⊆ decoded.
-	for p := range out.acked {
-		if !decoded[p] {
-			t.Fatalf("acknowledged point %d missing from decoded journal (decoded %v)", p, decoded)
+	for i := range acked {
+		if !decoded[i] {
+			t.Fatalf("acknowledged record %d missing from the decoded log (decoded %v)", i, decoded)
 		}
 	}
-	// And a restarted process resumes them: reopen through the clean OS.
-	j2, err := Open(out.path, "fp-prop")
-	if err != nil {
-		t.Fatalf("clean reopen after fault: %v", err)
-	}
-	defer j2.Close()
-	for p := range out.acked {
-		if !j2.Has("fig1", p, uint64(100+p)) {
-			t.Fatalf("acknowledged point %d not resumable", p)
-		}
-	}
+	lg.reopen(t, path, acked)
 }
 
-func TestJournalSingleFaultProperty(t *testing.T) {
+func singleFaultProperty(t *testing.T, lg propLog) {
 	ops := []vfs.Op{vfs.OpOpen, vfs.OpCreate, vfs.OpRead, vfs.OpWrite, vfs.OpSync,
 		vfs.OpClose, vfs.OpRename, vfs.OpTruncate, vfs.OpSyncDir}
 	kinds := []vfs.Kind{vfs.KindENOSPC, vfs.KindEIO, vfs.KindShort, vfs.KindCrash}
@@ -124,9 +223,8 @@ func TestJournalSingleFaultProperty(t *testing.T) {
 						continue // crash is implicitly sticky
 					}
 					ft := vfs.Fault{Op: op, Kind: kind, Nth: nth, KeepBytes: 3 * nth, Sticky: sticky}
-					t.Run(fmt.Sprintf("%s-%s-n%d-sticky%v", op, kind, nth, sticky), func(t *testing.T) {
-						out := runJournalWorkload(t, vfs.Plan{Faults: []vfs.Fault{ft}})
-						checkJournalOutcome(t, out)
+					t.Run(lg.name(ft), func(t *testing.T) {
+						checkFaultProperty(t, lg, vfs.Plan{Faults: []vfs.Fault{ft}})
 					})
 				}
 			}
@@ -134,75 +232,15 @@ func TestJournalSingleFaultProperty(t *testing.T) {
 	}
 }
 
-func TestJournalRandomFaultProperty(t *testing.T) {
+func randomFaultProperty(t *testing.T, lg propLog) {
 	for seed := uint64(0); seed < 64; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			out := runJournalWorkload(t, vfs.RandomPlan(seed, 2*propPoints))
-			checkJournalOutcome(t, out)
+			checkFaultProperty(t, lg, vfs.RandomPlan(seed, 2*propPoints))
 		})
 	}
 }
 
-// The same property for the job log.
-func runJobLogWorkload(t *testing.T, plan vfs.Plan) (acked map[int]bool, openErr error, path string) {
-	t.Helper()
-	acked = map[int]bool{}
-	path = filepath.Join(t.TempDir(), "jobs.log")
-	fsys := vfs.NewFaulty(vfs.OS, plan)
-	l, _, err := OpenJobLogFS(fsys, path)
-	if err != nil {
-		return acked, err, path
-	}
-	for i := 0; i < propPoints; i++ {
-		rec := JobRecord{ID: fmt.Sprintf("j%03d", i), State: JobAccepted, Fingerprint: "fp", Note: "prop"}
-		if err := l.Append(rec); err == nil {
-			acked[i] = true
-		}
-	}
-	l.Close()
-	return acked, nil, path
-}
-
-func TestJobLogSingleFaultProperty(t *testing.T) {
-	ops := []vfs.Op{vfs.OpCreate, vfs.OpWrite, vfs.OpSync, vfs.OpClose, vfs.OpRename, vfs.OpTruncate}
-	kinds := []vfs.Kind{vfs.KindENOSPC, vfs.KindEIO, vfs.KindShort, vfs.KindCrash}
-	for _, op := range ops {
-		for _, kind := range kinds {
-			if kind == vfs.KindShort && op != vfs.OpWrite {
-				continue
-			}
-			for nth := 1; nth <= 2*propPoints; nth++ {
-				ft := vfs.Fault{Op: op, Kind: kind, Nth: nth, KeepBytes: 2 * nth}
-				t.Run(fmt.Sprintf("%s-%s-n%d", op, kind, nth), func(t *testing.T) {
-					acked, openErr, path := runJobLogWorkload(t, vfs.Plan{Faults: []vfs.Fault{ft}})
-					data, err := os.ReadFile(path)
-					if errors.Is(err, fs.ErrNotExist) {
-						if openErr == nil {
-							t.Fatalf("job log missing but OpenJobLog succeeded")
-						}
-						return
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					recs, _, derr := DecodeJobLog(data)
-					if derr != nil {
-						t.Fatalf("on-disk job log does not decode: %v", derr)
-					}
-					decoded := map[string]bool{}
-					for _, r := range recs {
-						if r.State != JobAccepted || r.Note != "prop" || r.Sum != r.checksum() {
-							t.Fatalf("decoded record not among the appended ones: %+v", r)
-						}
-						decoded[r.ID] = true
-					}
-					for i := range acked {
-						if !decoded[fmt.Sprintf("j%03d", i)] {
-							t.Fatalf("acknowledged job record %d missing from decoded log", i)
-						}
-					}
-				})
-			}
-		}
-	}
-}
+func TestJournalSingleFaultProperty(t *testing.T) { singleFaultProperty(t, journalProp) }
+func TestJournalRandomFaultProperty(t *testing.T) { randomFaultProperty(t, journalProp) }
+func TestJobLogSingleFaultProperty(t *testing.T)  { singleFaultProperty(t, jobLogProp) }
+func TestJobLogRandomFaultProperty(t *testing.T)  { randomFaultProperty(t, jobLogProp) }

@@ -3,12 +3,8 @@ package checkpoint
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
-	"os"
-	"sync"
 
 	"repro/internal/vfs"
 )
@@ -23,9 +19,9 @@ import (
 // which then resumes its own per-job sweep Journal, so the recovered
 // run's artifact is byte-identical to an uninterrupted one.
 //
-// The format mirrors the sweep journal deliberately: JSONL, a magic
-// header line, CRC-32C per record, fsync per append, and tolerant
-// decoding that salvages the intact prefix of a torn tail.
+// Both logs are the same durable append log underneath (appendLog in
+// log.go); a job log differs only in its header magic, its record type
+// and the sequence numbers it assigns.
 
 // Job-state names recorded in the log. Only terminal states other than
 // JobAccepted appear as non-first records for an id; a job whose last
@@ -80,40 +76,15 @@ func (r JobRecord) checksum() uint32 {
 	return h.Sum32()
 }
 
-const jobLogMagic = "manet-jobs"
-
-// encodeJobLogHeader renders the log's first line. Unlike a sweep
-// journal, a job log carries no config fingerprint: the daemon must be
-// able to recover jobs across restarts even when its own serving
-// configuration (queue depth, rates) changed; each job's scenario
-// fingerprint lives in its records instead.
-func encodeJobLogHeader() ([]byte, error) {
-	b, err := json.Marshal(header{Magic: jobLogMagic, Version: journalVersion})
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
 // JobLog is the crash-safe append-only job-state log of a service
 // daemon. Appends are fsynced before they return, so an acknowledged
 // state transition survives any subsequent crash; a crash mid-append
 // damages at most the unacknowledged tail record, which OpenJobLog
-// silently truncates away. A JobLog is safe for concurrent use.
-//
-// Failed appends follow the same repair-or-poison discipline as the
-// sweep Journal: a torn write is truncated back to the last
-// acknowledged byte, and an unrepairable file — or any fsync failure —
-// poisons the log so every further append fails with ErrPoisoned
-// instead of risking acknowledged records a reopen would drop.
+// silently truncates away. Failed appends are repaired or poison the
+// log (see appendLog). A JobLog is safe for concurrent use.
 type JobLog struct {
-	mu     sync.Mutex
-	fsys   vfs.FS
-	f      vfs.File
-	path   string
-	next   int   // next sequence number
-	off    int64 // acknowledged (written + synced) byte length
-	failed error // poison: set on unrecoverable storage failure
+	appendLog
+	next int // next sequence number
 }
 
 // OpenJobLog creates the log at path, or reopens an existing one,
@@ -125,80 +96,38 @@ func OpenJobLog(path string) (*JobLog, []JobRecord, error) {
 
 // OpenJobLogFS is OpenJobLog over an explicit filesystem.
 func OpenJobLogFS(fsys vfs.FS, path string) (*JobLog, []JobRecord, error) {
-	fsys = vfs.Default(fsys)
-	l := &JobLog{fsys: fsys, path: path, next: 1}
-	var records []JobRecord
-	data, err := fsys.ReadFile(path)
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		hdr, err := encodeJobLogHeader()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := WriteFileAtomicFS(fsys, path, hdr, 0o644); err != nil {
-			return nil, nil, err
-		}
-		l.off = int64(len(hdr))
-	case err != nil:
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
-	default:
-		var valid int
-		records, valid, err = DecodeJobLog(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		if salvaged := len(data) - valid; salvaged > 0 {
-			if err := truncateTo(fsys, path, valid); err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, r := range records {
-			if r.Seq >= l.next {
-				l.next = r.Seq + 1
-			}
-		}
-		l.off = int64(valid)
-	}
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Unlike a sweep journal, a job log carries no config fingerprint:
+	// the daemon must be able to recover jobs across restarts even when
+	// its own serving configuration (queue depth, rates) changed; each
+	// job's scenario fingerprint lives in its records instead.
+	hdr, err := encodeHeader(jobLogMagic, "")
 	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, nil, err
 	}
-	l.f = f
+	l := &JobLog{next: 1}
+	var records []JobRecord
+	_, err = l.open(fsys, path, hdr, func(data []byte) (valid int, err error) {
+		records, valid, err = DecodeJobLog(data)
+		for _, r := range records {
+			l.next = max(l.next, r.Seq+1)
+		}
+		return valid, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	return l, records, nil
 }
 
 // DecodeJobLog parses job-log bytes tolerantly, returning every intact
-// record and the byte length of the valid prefix. Decoding stops at the
-// first damaged line — a torn tail from a crash mid-append, a flipped
-// byte caught by the CRC — and everything before it is salvaged; such
-// damage is not an error. Only an unusable header is.
+// record and the byte length of the valid prefix. Like DecodeJournal it
+// salvages everything before the first damaged line; only an unusable
+// header is an error.
 func DecodeJobLog(data []byte) (records []JobRecord, valid int, err error) {
-	line, rest, ok := cutLine(data)
-	if !ok {
-		return nil, 0, fmt.Errorf("checkpoint: job log header missing or truncated")
-	}
-	var h header
-	if err := json.Unmarshal(line, &h); err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: job log header: %w", err)
-	}
-	if h.Magic != jobLogMagic || h.Version != journalVersion {
-		return nil, 0, fmt.Errorf("checkpoint: not a v%d %s log header: %q", journalVersion, jobLogMagic, line)
-	}
-	valid = len(data) - len(rest)
-	for {
-		line, next, ok := cutLine(rest)
-		if !ok {
-			return records, valid, nil
-		}
-		var r JobRecord
-		if err := json.Unmarshal(line, &r); err != nil ||
-			r.Seq <= 0 || r.ID == "" || r.State == "" || r.Sum != r.checksum() {
-			return records, valid, nil
-		}
-		records = append(records, r)
-		rest = next
-		valid = len(data) - len(rest)
-	}
+	_, records, valid, err = decodeLog(data, "job log",
+		func(h header) bool { return h.Magic == jobLogMagic && h.Version == logVersion },
+		func(r *JobRecord) bool { return r.Seq > 0 && r.ID != "" && r.State != "" && r.Sum == r.checksum() })
+	return records, valid, err
 }
 
 // Append journals one job-state transition and fsyncs it. The record's
@@ -207,44 +136,18 @@ func DecodeJobLog(data []byte) (records []JobRecord, valid int, err error) {
 func (l *JobLog) Append(rec JobRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return errClosed
-	}
-	if l.failed != nil {
-		return fmt.Errorf("%w (%v)", ErrPoisoned, l.failed)
-	}
+	what := func() string { return fmt.Sprintf("job %s %s", rec.ID, rec.State) }
 	rec.Seq = l.next
 	rec.Sum = rec.checksum()
 	line, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("checkpoint: encode job %s %s: %w", rec.ID, rec.State, err)
+		return fmt.Errorf("checkpoint: encode %s: %w", what(), err)
 	}
-	line = append(line, '\n')
-	if _, werr := l.f.Write(line); werr != nil {
-		l.repairLocked(werr)
-		return fmt.Errorf("checkpoint: append job %s %s: %w", rec.ID, rec.State, werr)
+	if err := l.appendLocked(append(line, '\n'), what); err != nil {
+		return err
 	}
-	if serr := l.f.Sync(); serr != nil {
-		// Durability of the record is unknowable after a failed fsync;
-		// poison rather than pretend (see Journal.appendRawLocked).
-		l.failed = fmt.Errorf("fsync failed: %w", serr)
-		return fmt.Errorf("checkpoint: sync job %s %s: %w", rec.ID, rec.State, serr)
-	}
-	l.off += int64(len(line))
 	l.next++
 	return nil
-}
-
-// repairLocked truncates the log back to the last acknowledged byte
-// after a failed write, poisoning the log if the repair fails.
-func (l *JobLog) repairLocked(cause error) {
-	terr := l.f.Truncate(l.off)
-	if terr == nil {
-		terr = l.f.Sync()
-	}
-	if terr != nil {
-		l.failed = fmt.Errorf("repair after %v failed: %w", cause, terr)
-	}
 }
 
 // NextSeq returns the sequence number the next Append will record.
@@ -252,40 +155,4 @@ func (l *JobLog) NextSeq() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.next
-}
-
-// Poisoned returns the storage failure that poisoned the log, or nil
-// while it is healthy.
-func (l *JobLog) Poisoned() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.failed
-}
-
-// Path returns the log's file path.
-func (l *JobLog) Path() string { return l.path }
-
-// Close syncs and closes the log. It is idempotent. A poisoned log's
-// close releases the descriptor without syncing (durability was already
-// forfeit and reported) and returns nil.
-func (l *JobLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	if l.failed != nil {
-		l.f.Close()
-		l.f = nil
-		return nil
-	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	if err != nil {
-		return fmt.Errorf("checkpoint: close job log: %w", err)
-	}
-	return nil
 }

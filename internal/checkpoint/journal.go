@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
-	"sync"
 
 	"repro/internal/vfs"
 )
@@ -29,51 +26,22 @@ var ErrUnencodableResult = errors.New("checkpoint: result value is not JSON-enco
 // storage failures during ingest surface as other errors.
 var ErrCorruptRecord = errors.New("checkpoint: record CRC mismatch")
 
-// ErrPoisoned marks appends to a journal or job log that suffered an
-// unrecoverable storage failure earlier: a failed fsync (the kernel may
-// have dropped dirty pages — durability of anything not yet synced is
-// unknowable) or a torn write that could not be truncated away. Every
-// subsequent append fails loudly with it rather than risking
-// acknowledged records that a reopen would silently drop.
-var ErrPoisoned = errors.New("checkpoint: log poisoned by an earlier storage failure")
-
-// errClosed reports use after Close.
-var errClosed = errors.New("checkpoint: journal is closed")
-
 // Journal is a crash-safe append-only log of completed sweep points.
 // Appends are fsynced before they return, so an acknowledged point
 // survives any subsequent crash; a crash mid-append damages at most the
-// unacknowledged tail record, which Open silently truncates away. A
-// Journal is safe for concurrent use by sweep workers.
-//
-// Appends that fail are repaired or poisoned: a failed write truncates
-// the file back to the last acknowledged byte (so the torn bytes can
-// never shadow a later record), and if the repair — or any fsync —
-// fails, the journal is poisoned and every further append returns
-// ErrPoisoned. The invariant this buys: every record the journal ever
-// acknowledged is in the decoded prefix of the file, no matter which
-// single operation failed.
+// unacknowledged tail record, which Open silently truncates away. Failed
+// appends are repaired or poison the journal (see appendLog). A Journal
+// is safe for concurrent use by sweep workers.
 type Journal struct {
-	mu          sync.Mutex
-	fsys        vfs.FS
-	f           vfs.File
-	path        string
-	fingerprint string
-	completed   map[journalKey]Entry
-	salvaged    int   // bytes of damaged tail discarded on Open
-	off         int64 // acknowledged (written + synced) byte length
-	failed      error // poison: set on unrecoverable storage failure
+	appendLog
+	completed map[journalKey]json.RawMessage
+	salvaged  int // bytes of damaged tail discarded on Open
 }
 
 type journalKey struct {
 	sweep string
 	point int
-}
-
-// Entry is one cached point available for replay.
-type Entry struct {
-	Seed   uint64
-	Result json.RawMessage
+	seed  uint64
 }
 
 // Open creates the journal at path, or resumes an existing one. A new
@@ -89,63 +57,42 @@ func Open(path, fingerprint string) (*Journal, error) {
 // OpenFS is Open over an explicit filesystem — the seam fault-injection
 // harnesses use to fail any operation of the journal's life cycle.
 func OpenFS(fsys vfs.FS, path, fingerprint string) (*Journal, error) {
-	fsys = vfs.Default(fsys)
 	if fingerprint == "" {
 		return nil, fmt.Errorf("checkpoint: empty fingerprint")
 	}
-	j := &Journal{fsys: fsys, path: path, fingerprint: fingerprint, completed: map[journalKey]Entry{}}
-	data, err := fsys.ReadFile(path)
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		hdr, err := encodeHeader(fingerprint)
-		if err != nil {
-			return nil, err
-		}
-		if err := WriteFileAtomicFS(fsys, path, hdr, 0o644); err != nil {
-			return nil, err
-		}
-		j.off = int64(len(hdr))
-	case err != nil:
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	default:
+	hdr, err := encodeHeader(journalMagic, fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	j := &Journal{completed: map[journalKey]json.RawMessage{}}
+	j.salvaged, err = j.open(fsys, path, hdr, func(data []byte) (int, error) {
 		fp, records, valid, err := DecodeJournal(data)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if fp != fingerprint {
-			return nil, fmt.Errorf("%w: journal %s has %s, current config is %s",
+			return 0, fmt.Errorf("%w: journal %s has %s, current config is %s",
 				ErrFingerprintMismatch, path, fp, fingerprint)
 		}
 		for _, r := range records {
-			// First-committed-wins, matching Ingest: should duplicate
-			// records ever reach the file, replay keeps the first.
-			k := journalKey{r.Sweep, r.Point}
-			if _, ok := j.completed[k]; !ok {
-				j.completed[k] = Entry{Seed: r.Seed, Result: r.Result}
-			}
+			j.index(r.Sweep, r.Point, r.Seed, r.Result)
 		}
-		j.salvaged = len(data) - valid
-		if j.salvaged > 0 {
-			if err := truncateTo(fsys, path, valid); err != nil {
-				return nil, err
-			}
-		}
-		j.off = int64(valid)
-	}
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		return valid, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, err
 	}
-	j.f = f
 	return j, nil
 }
 
-// truncateTo cuts the file to n bytes and syncs the truncation.
-func truncateTo(fsys vfs.FS, path string, n int) error {
-	if err := fsys.Truncate(path, int64(n)); err != nil {
-		return fmt.Errorf("checkpoint: truncating damaged tail: %w", err)
+// index makes a committed record available to Lookup. Replay on Open
+// and every append go through it, so the live view and a reopened view
+// agree: the first record committed for a (sweep, point, seed) wins.
+func (j *Journal) index(sweep string, point int, seed uint64, raw json.RawMessage) {
+	k := journalKey{sweep, point, seed}
+	if _, ok := j.completed[k]; !ok {
+		j.completed[k] = raw
 	}
-	return nil
 }
 
 // Append journals one completed sweep point and fsyncs it. A result
@@ -173,65 +120,34 @@ func (j *Journal) AppendRaw(sweep string, point int, seed uint64, raw json.RawMe
 
 // appendRawLocked writes and fsyncs one record; callers hold j.mu.
 func (j *Journal) appendRawLocked(sweep string, point int, seed uint64, raw json.RawMessage) error {
-	rec := NewRecord(sweep, point, seed, raw)
-	line, err := json.Marshal(rec)
+	what := func() string { return fmt.Sprintf("%s point %d", sweep, point) }
+	line, err := json.Marshal(NewRecord(sweep, point, seed, raw))
 	if err != nil {
-		return fmt.Errorf("checkpoint: encode %s point %d: %w", sweep, point, err)
+		return fmt.Errorf("checkpoint: encode %s: %w", what(), err)
 	}
-	line = append(line, '\n')
-	if j.f == nil {
-		return errClosed
+	if err := j.appendLocked(append(line, '\n'), what); err != nil {
+		return err
 	}
-	if j.failed != nil {
-		return fmt.Errorf("%w (%v)", ErrPoisoned, j.failed)
-	}
-	if _, werr := j.f.Write(line); werr != nil {
-		j.repairLocked(werr)
-		return fmt.Errorf("checkpoint: append %s point %d: %w", sweep, point, werr)
-	}
-	if serr := j.f.Sync(); serr != nil {
-		// A failed fsync leaves durability unknowable: the kernel may
-		// have dropped the dirty pages and will not report the failure
-		// again on a retried sync. Poison rather than pretend.
-		j.failed = fmt.Errorf("fsync failed: %w", serr)
-		return fmt.Errorf("checkpoint: sync %s point %d: %w", sweep, point, serr)
-	}
-	j.off += int64(len(line))
-	j.completed[journalKey{sweep, point}] = Entry{Seed: seed, Result: raw}
+	j.index(sweep, point, seed, raw)
 	return nil
-}
-
-// repairLocked restores the file to the last acknowledged byte after a
-// failed or torn write, so the garbage tail can never sit between two
-// acknowledged records (where tolerant decoding would silently drop
-// everything after it). If the repair cannot be made durable, the log
-// is poisoned instead.
-func (j *Journal) repairLocked(cause error) {
-	terr := j.f.Truncate(j.off)
-	if terr == nil {
-		terr = j.f.Sync()
-	}
-	if terr != nil {
-		j.failed = fmt.Errorf("repair after %v failed: %w", cause, terr)
-	}
 }
 
 // Ingest merges one externally produced record (a remote worker's
 // result) into the journal with first-committed-wins semantics: a point
-// already present — whatever process computed it — is left untouched and
-// the duplicate is reported, not an error. The record's CRC is verified
-// before anything is written — a garbled record fails with
-// ErrCorruptRecord and never reaches the journal. The duplicate check
-// and the append are one critical section, so two racing ingests of the
-// same point commit exactly one record. It returns whether the record
-// was appended.
+// already present under the record's seed — whatever process computed
+// it — is left untouched and the duplicate is reported, not an error.
+// The record's CRC is verified before anything is written — a garbled
+// record fails with ErrCorruptRecord and never reaches the journal. The
+// duplicate check and the append are one critical section, so two
+// racing ingests of the same point commit exactly one record. It
+// returns whether the record was appended.
 func (j *Journal) Ingest(rec Record) (bool, error) {
 	if !rec.Verify() {
 		return false, fmt.Errorf("%w: ingest %s point %d", ErrCorruptRecord, rec.Sweep, rec.Point)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, dup := j.completed[journalKey{rec.Sweep, rec.Point}]; dup {
+	if _, dup := j.completed[journalKey{rec.Sweep, rec.Point, rec.Seed}]; dup {
 		return false, nil
 	}
 	if err := j.appendRawLocked(rec.Sweep, rec.Point, rec.Seed, rec.Result); err != nil {
@@ -252,11 +168,8 @@ func (j *Journal) Has(sweep string, point int, seed uint64) bool {
 func (j *Journal) Lookup(sweep string, point int, seed uint64) (json.RawMessage, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e, ok := j.completed[journalKey{sweep, point}]
-	if !ok || e.Seed != seed {
-		return nil, false
-	}
-	return e.Result, true
+	raw, ok := j.completed[journalKey{sweep, point, seed}]
+	return raw, ok
 }
 
 // Completed reports how many points the journal holds.
@@ -272,42 +185,6 @@ func (j *Journal) SalvagedBytes() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.salvaged
-}
-
-// Poisoned returns the storage failure that poisoned the journal, or
-// nil while it is healthy.
-func (j *Journal) Poisoned() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.failed
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Close syncs and closes the journal. It is idempotent. A poisoned
-// journal's close releases the descriptor without syncing (durability
-// was already forfeit and reported) and returns nil.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	if j.failed != nil {
-		j.f.Close()
-		j.f = nil
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	if err != nil {
-		return fmt.Errorf("checkpoint: close: %w", err)
-	}
-	return nil
 }
 
 var _ io.Closer = (*Journal)(nil)
