@@ -53,26 +53,24 @@ chaos:
 difftest:
 	go test -count=1 -v ./internal/difftest/ ./internal/refsim/
 
-# bench runs every benchmark once (the reproduction scoreboard) and then
-# regenerates the machine-readable performance artifact BENCH_8.json:
-# Figure 1–3 wall-clock per worker count, the steady-state tick-loop
-# throughput vs the growth seed — on the ideal medium, with loss+churn
-# faults, and with the full delivery pipeline — the node-count scaling
-# sweep (1k/10k/100k at constant density) against the BENCH_3
-# full-rescan extrapolation, and the storage-seam row (raw *os.File vs
-# the internal/vfs passthrough on the journal append+fsync path; any
-# allocation delta aborts the bench). BENCH_1–7.json are the preserved
-# artifacts of previous revisions.
+# bench runs the Go benchmarks with five samples per row and allocation
+# counts (feed the output to benchstat to compare two trees). The root
+# package's figure and ablation benchmarks regenerate whole sweeps, so
+# each sample is one run; the engine rows run at the default benchtime:
+# netsim.BenchmarkStep's tick loop from 400 to 100k nodes at constant
+# density (canonical and low mobility, serial and tiled) and
+# faults.BenchmarkStepMedia's N=400 loop with a beaconing protocol on the
+# ideal medium, under loss+churn and under the full delivery pipeline.
+# perfbench/run.sh is the end-to-end benchmark of record.
 bench:
-	go test -run '^$$' -bench=. -benchtime=1x .
-	go run ./cmd/bench -out BENCH_8.json
+	go test -run '^$$' -bench=. -benchtime=1x -count=5 -benchmem .
+	go test -run '^$$' -bench=. -count=5 -benchmem ./internal/...
 
-# bench-smoke is the CI-sized benchmark gate: the N=1k step loop with
-# tile-parallel topology maintenance enabled, under the race detector,
-# writing its artifact to a scratch path. It is a correctness smoke, not
-# a timing source.
+# bench-smoke is the CI-sized benchmark gate: 120 ticks of the N=1k step
+# loop with 4-tile topology maintenance, under the race detector. It is
+# a correctness smoke, not a timing source.
 bench-smoke:
-	go run -race ./cmd/bench -step-only -step-ticks 120 -n 1000 -tiles 4 -out /tmp/bench-smoke.json
+	go test -race -run '^$$' -bench 'BenchmarkStep/n1k/.*tiles4' -benchtime 120x ./internal/netsim
 
 # serve-smoke is the daemon's end-to-end gate, race-enabled: build the
 # real manetsimd binary, start it, verify liveness, submit a job,

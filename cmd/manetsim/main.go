@@ -35,12 +35,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/netsim"
 	"repro/internal/routing"
-	"repro/internal/simrand"
 	"repro/internal/trace"
 )
 
@@ -130,44 +128,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	opts.Workers = *workers
 	opts.Ctx = ctx
 	opts.PointDeadline = *pointTimeout
-	switch *metric {
-	case "square":
-		opts.Metric = geom.MetricSquare
-	case "torus":
-		opts.Metric = geom.MetricTorus
-	default:
-		return fmt.Errorf("unknown metric %q", *metric)
-	}
-	switch *mob {
-	case "epoch-rwp":
-		opts.Mobility = experiments.MobilityEpochRWP
-	case "bcv":
-		opts.Mobility = experiments.MobilityBCV
-	case "rwp":
-		opts.Mobility = experiments.MobilityRandomWaypoint
-	case "random-walk":
-		opts.Mobility = experiments.MobilityRandomWalk
-	default:
-		return fmt.Errorf("unknown mobility model %q", *mob)
-	}
-	switch *policy {
-	case "lid":
-		opts.Policy = cluster.LID{}
-	case "hcc":
-		opts.Policy = cluster.HCC{}
-	case "dmac":
-		rng := simrand.New(*seed).Split("dmac-weights").Rand()
-		weights := make([]float64, *n)
-		for i := range weights {
-			weights[i] = rng.Float64()
-		}
-		dmac, err := cluster.NewDMAC(weights)
-		if err != nil {
-			return err
-		}
-		opts.Policy = dmac
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
+	names := experiments.ScenarioNames{Metric: *metric, Mobility: *mob, Policy: *policy}
+	if err := names.Apply(&opts, *n); err != nil {
+		return err
 	}
 
 	if *resume && *ckpt == "" {

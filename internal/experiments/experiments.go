@@ -19,7 +19,6 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/netsim"
 	"repro/internal/routing"
-	"repro/internal/simrand"
 )
 
 // Options tunes how simulation measurements are taken. The zero value is
@@ -359,14 +358,4 @@ func measureDuration(net core.Network, opts Options) float64 {
 		return math.Min(100, opts.MaxDuration)
 	}
 	return math.Min(opts.TargetEvents/rate, opts.MaxDuration)
-}
-
-// dmacWeights draws one random weight per node for DMAC experiments.
-func dmacWeights(n int, seed uint64) []float64 {
-	rng := simrand.New(seed).Split("dmac-weights").Rand()
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = rng.Float64()
-	}
-	return w
 }

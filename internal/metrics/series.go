@@ -63,7 +63,7 @@ func (f *Figure) Lookup(name string) *Series {
 // figure's "<quantity> analysis" / "<quantity> simulation" series pairs,
 // and the number of point pairs averaged. Points whose analysis value is
 // not positive are skipped. It is the repository's reproduction
-// scoreboard metric: `go test -bench` and cmd/bench report it.
+// scoreboard metric: the figure benchmarks (`go test -bench`) report it.
 func (f *Figure) MeanRelGap() (gap float64, pairs int) {
 	for _, ana := range f.Series {
 		const suffix = " analysis"

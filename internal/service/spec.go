@@ -21,11 +21,8 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/geom"
-	"repro/internal/simrand"
 )
 
 // Job kinds.
@@ -198,20 +195,8 @@ func (s JobSpec) Validate() error {
 		if s.Density <= 0 || s.Density > 1000 {
 			return fmt.Errorf("service: density must be in (0, 1000], got %g", s.Density)
 		}
-		switch s.Policy {
-		case "lid", "hcc", "dmac":
-		default:
-			return fmt.Errorf("service: unknown policy %q", s.Policy)
-		}
-		switch s.Mobility {
-		case "epoch-rwp", "bcv", "rwp", "random-walk":
-		default:
-			return fmt.Errorf("service: unknown mobility model %q", s.Mobility)
-		}
-		switch s.Metric {
-		case "square", "torus":
-		default:
-			return fmt.Errorf("service: unknown metric %q", s.Metric)
+		if err := s.names().Validate(); err != nil {
+			return fmt.Errorf("service: %w", err)
 		}
 	default:
 		return fmt.Errorf("service: unknown job kind %q (want %q or %q)", s.Kind, KindMeasure, KindFigure)
@@ -279,40 +264,13 @@ func (s JobSpec) options(base experiments.Options) (experiments.Options, error) 
 	if s.Kind != KindMeasure {
 		return opts, nil
 	}
-	switch s.Metric {
-	case "square":
-		opts.Metric = geom.MetricSquare
-	case "torus":
-		opts.Metric = geom.MetricTorus
-	}
-	switch s.Mobility {
-	case "epoch-rwp":
-		opts.Mobility = experiments.MobilityEpochRWP
-	case "bcv":
-		opts.Mobility = experiments.MobilityBCV
-	case "rwp":
-		opts.Mobility = experiments.MobilityRandomWaypoint
-	case "random-walk":
-		opts.Mobility = experiments.MobilityRandomWalk
-	}
-	switch s.Policy {
-	case "lid":
-		opts.Policy = cluster.LID{}
-	case "hcc":
-		opts.Policy = cluster.HCC{}
-	case "dmac":
-		rng := simrand.New(s.Seed).Split("dmac-weights").Rand()
-		weights := make([]float64, s.N)
-		for i := range weights {
-			weights[i] = rng.Float64()
-		}
-		dmac, err := cluster.NewDMAC(weights)
-		if err != nil {
-			return opts, err
-		}
-		opts.Policy = dmac
-	}
-	return opts, nil
+	err := s.names().Apply(&opts, s.N)
+	return opts, err
+}
+
+// names is the spec's scenario names, KindMeasure only.
+func (s JobSpec) names() experiments.ScenarioNames {
+	return experiments.ScenarioNames{Metric: s.Metric, Mobility: s.Mobility, Policy: s.Policy}
 }
 
 // Run executes the job and returns its artifact bytes: a pure function

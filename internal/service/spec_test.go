@@ -1,9 +1,13 @@
 package service
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
+	"repro/internal/geom"
 )
 
 func TestDecodeJobSpecValid(t *testing.T) {
@@ -167,5 +171,25 @@ func TestSpecDeadlineClamping(t *testing.T) {
 	}
 	if d := (JobSpec{DeadlineMS: 3600000}).Deadline(def, max); d != max {
 		t.Fatalf("deadline not clamped: got %v", d)
+	}
+}
+
+// TestSpecOptionsApplyScenarioNames checks that a measure job runs the
+// scenario its names select, with DMAC weights drawn from the job seed.
+func TestSpecOptionsApplyScenarioNames(t *testing.T) {
+	s := JobSpec{Kind: KindMeasure, N: 30, Seed: 9, Policy: "dmac", Mobility: "random-walk", Metric: "torus"}.Normalized()
+	got, err := s.options(experiments.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := experiments.DefaultOptions()
+	want.Seed = 9
+	if err := (experiments.ScenarioNames{Metric: "torus", Mobility: "random-walk", Policy: "dmac"}).Apply(&want, 30); err != nil {
+		t.Fatal(err)
+	}
+	if got.Metric != geom.MetricTorus || got.Mobility != experiments.MobilityRandomWalk ||
+		!reflect.DeepEqual(got.Policy, want.Policy) {
+		t.Errorf("options = metric %v, mobility %v, policy %+v; want %v, %v, %+v",
+			got.Metric, got.Mobility, got.Policy, want.Metric, want.Mobility, want.Policy)
 	}
 }

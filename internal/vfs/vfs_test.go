@@ -96,7 +96,7 @@ func TestDefault(t *testing.T) {
 	}
 }
 
-// TestPassthroughZeroAlloc is the BENCH_7 gate in assertion form: the
+// TestPassthroughZeroAlloc is the seam's zero-overhead contract: the
 // hot journal-append path (one Write + one Sync per record) must not
 // allocate when it runs through the seam — the passthrough is bare
 // *os.File calls behind a zero-size interface value.
