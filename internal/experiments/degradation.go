@@ -31,8 +31,12 @@ type DegradationPoint struct {
 	// FRoute is the measured per-node ROUTE frequency of the soft-state
 	// distance-vector tables (refresh traffic included).
 	FRoute float64
-	// DropRate is the fraction of point deliveries the medium lost
-	// (empirical check that the injector realized p).
+	// DropRate is Tallies.DropRate over the window: the fraction of
+	// settled point deliveries that were lost. Without delay it is the
+	// empirical check that the injector realized p. Pending-queue
+	// overflow evictions count neither as losses nor as deliveries, so
+	// under a delaying medium that overflows the bound it reads above p
+	// (about 0.3 at loss 0.05 and delay 1, N=100).
 	DropRate float64
 	// RepairMeanTicks / RepairMaxTicks / RepairCount summarize the
 	// auditor's closed violation spans (time-to-repair).

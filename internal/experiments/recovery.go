@@ -74,7 +74,11 @@ type RecoveryPoint struct {
 	// the cluster spans.
 	RouteMeanTicks, RouteMaxTicks float64
 	// DropRate / DupRate are the realized medium rates over the whole
-	// run (empirical check on the fault pipeline).
+	// run (empirical check on the fault pipeline), both relative to
+	// settled deliveries (Delivered + Dropped). Pending-queue overflow
+	// evictions are in neither term, so when a delaying medium overflows
+	// the per-receiver bound DropRate reads above the medium's loss
+	// probability (see netsim.Tallies.DropRate).
 	DropRate, DupRate float64
 }
 

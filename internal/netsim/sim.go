@@ -429,9 +429,6 @@ func (s *Sim) releasePending() {
 		return
 	}
 	for _, p := range s.pending.take(s.tick) {
-		if p.dead {
-			continue
-		}
 		if !s.alive[p.rcv] {
 			s.dropped++
 			s.tallies.Dropped++

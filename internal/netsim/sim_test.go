@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -448,6 +449,41 @@ func TestStepZeroSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Step allocates %v times per tick in steady state, want 0", allocs)
+	}
+}
+
+// TestStepZeroSteadyStateAllocsLargeN pins the zero-alloc tick loop at
+// BenchmarkStep's n10k/canonical scenario, where thousands of index
+// cells see cell-crossers every tick. The whole 50-tick window must not
+// allocate once: a per-tick average would round a few stray
+// allocations down to zero.
+func TestStepZeroSteadyStateAllocsLargeN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps a 10000-node scenario 200 times")
+	}
+	const n = 10000
+	s, err := New(Config{
+		N: n, Side: 10 * math.Sqrt(n/400.0), Range: 1.5, Dt: 0.05, Seed: 1,
+		Metric: geom.MetricSquare,
+		Model:  mobility.EpochRWP{Speed: 0.05, Epoch: 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 50; i++ {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Step allocates %v times in 50 steady-state ticks at N=%d, want 0", allocs, n)
 	}
 }
 

@@ -335,7 +335,7 @@ func (s *Sim) deliver(rcv netsim.NodeID, msg netsim.Message) {
 // to MaxDelayTicks) parks the delivery. When the receiver already holds
 // PendingLimit live entries, its oldest (smallest due tick, earliest
 // insertion on ties) is tombstoned and counted in Tallies.Overflow —
-// found here by a full scan rather than a bucket walk.
+// found here by a full scan rather than a walk of the receiver's chain.
 func (s *Sim) deliverOrPark(rcv netsim.NodeID, msg netsim.Message, delay int32) {
 	if delay <= 0 {
 		s.deliver(rcv, msg)

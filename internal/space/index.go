@@ -149,17 +149,20 @@ func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, erro
 	reach := x.radius + x.marginCap
 	x.cullR2 = reach * reach
 	copy(x.last, pos)
-	// Pre-size every bucket with headroom over its initial occupancy:
-	// cell-crossers otherwise keep tripping append growth in moveBucket
-	// for thousands of ticks while per-cell maxima creep toward the
-	// occupancy distribution's tail, and the steady-state tick loop is
-	// supposed to be allocation-free.
+	// Pre-size every bucket with headroom over its initial occupancy and
+	// at least four times the mean occupancy: cell-crossers otherwise
+	// keep tripping append growth in moveBucket for thousands of ticks
+	// while per-cell maxima creep toward the occupancy distribution's
+	// tail (at N=10k, thousands of cells of mean occupancy ~3 grew about
+	// once every two ticks), and the steady-state tick loop is supposed
+	// to be allocation-free.
 	counts := make([]int32, cells*cells)
 	for i := range pos {
 		counts[x.cellIndex(pos[i])]++
 	}
+	floor := 4*n/len(counts) + 4
 	for c, cnt := range counts {
-		capc := int(cnt) + int(cnt)/2 + 4
+		capc := max(int(cnt)+int(cnt)/2+4, floor)
 		x.bucket[c] = make([]int32, 0, capc)
 		x.bpos[c] = make([]geom.Vec2, 0, capc)
 	}
