@@ -1,6 +1,6 @@
 # Development targets for the MANET overhead reproduction.
 
-.PHONY: build test vet race check check-full chaos difftest bench bench-smoke serve-smoke crash-harness worker-chaos storage-chaos
+.PHONY: build test vet race check check-full chaos difftest bench bench-pair bench-smoke serve-smoke crash-harness worker-chaos storage-chaos
 
 build:
 	go build ./...
@@ -65,6 +65,18 @@ difftest:
 bench:
 	go test -run '^$$' -bench=. -benchtime=1x -count=5 -benchmem .
 	go test -run '^$$' -bench=. -count=5 -benchmem ./internal/...
+
+# bench-pair compares perfbench between commit BASE and HEAD on workload
+# W: it clones both commits into sibling directories under .bench_pair/
+# and alternates K runs per side of BENCHMARK.json's run_seconds (pair i
+# uses seed i on both sides), then prints per-metric medians, the
+# parent's interquartile range, the change/parent ratio and the win
+# count. Only committed code is measured. Example:
+#   make bench-pair BASE=HEAD~1 W=lossy_churn K=10
+K ?= 5
+bench-pair:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pair BASE=<rev> W=<workload> [K=5]"; exit 2; }
+	go run scripts/benchpair.go -base '$(BASE)' -workload '$(W)' -k $(K)
 
 # bench-smoke is the CI-sized benchmark gate: 120 ticks of the N=1k step
 # loop with 4-tile topology maintenance, under the race detector. It is

@@ -538,7 +538,23 @@ func (s *Sim) fillRange(t, lo, hi int) {
 // yields at most one event; ordering is by (A, B) within ups after
 // downs per node scan order, which is deterministic and identical to a
 // full-scan diff.
+//
+// Under a medium, one tick can flip far more links than any tick before
+// it (a crash breaks all of a node's links, a partition onset every
+// link across the cut), so the event buffer is reserved to a bound:
+// every undirected link sits twice in each adjacency, so the events
+// number at most (len(prevAdj.flat)+len(adj.flat))/2. Reserving that
+// over the arrays' capacities makes the buffer grow only on a tick when
+// the adjacency arrays themselves grew. Without a medium, links change
+// only by motion and the buffer settles at its working size within the
+// zero-alloc tests' warm-up, while the bound (three times the bytes of
+// both adjacency arrays) would cost the dense sweep points megabytes.
 func (s *Sim) diffAdjacency() {
+	if s.medium != nil {
+		if need := (cap(s.prevAdj.flat) + cap(s.adj.flat)) / 2; cap(s.events) < need {
+			s.events = make([]LinkEvent, 0, need)
+		}
+	}
 	s.events = s.events[:0]
 	for i := 0; i < s.cfg.N; i++ {
 		if !s.changed[i] {

@@ -28,7 +28,33 @@ type Entry struct {
 // vector for its cluster.
 type vectorAd struct {
 	Cluster netsim.NodeID
-	Rows    []Entry
+	// Rows are in strictly increasing Dest order, the order of the
+	// sender's table. OnMessage relies on it: it folds the rows into the
+	// receiver's equally sorted table with a single forward cursor.
+	Rows []Entry
+}
+
+// dvRow is one row of a node's table: the DSDV entry and its soft-state
+// lease, the time the entry's next hop last advertised support for it.
+// A lease of 0 means none was ever granted, or it expired.
+type dvRow struct {
+	Entry
+	lease float64
+}
+
+// findRow returns the index of dest in a Dest-sorted table, or the
+// index where it would be inserted, and whether it is present.
+func findRow(tbl []dvRow, dest netsim.NodeID) (int, bool) {
+	lo, hi := 0, len(tbl)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tbl[mid].Dest < dest {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(tbl) && tbl[lo].Dest == dest
 }
 
 // IntraDV is a working DSDV-style distance-vector protocol scoped to
@@ -49,8 +75,10 @@ type IntraDV struct {
 	cl        *cluster.Maintainer
 	entryBits float64
 
-	env      netsim.Env
-	tables   []map[netsim.NodeID]Entry
+	env netsim.Env
+	// tables[i] is node i's table, sorted by Dest. It always holds the
+	// node's own row: Start seeds it and no path removes it.
+	tables   [][]dvRow
 	ownSeq   []uint32
 	dirty    []bool
 	prevHead []netsim.NodeID
@@ -66,7 +94,6 @@ type IntraDV struct {
 	// tables survive a medium that silently loses advertisements.
 	softTTL     float64 // seconds a route lives without support; 0 = off
 	softRefresh float64 // seconds between periodic refresh advertisements
-	refreshed   []map[netsim.NodeID]float64
 	lastAdv     []float64
 }
 
@@ -111,25 +138,19 @@ func (dv *IntraDV) Name() string { return "routing/intra-dv" }
 func (dv *IntraDV) Start(env netsim.Env) error {
 	dv.env = env
 	n := env.NumNodes()
-	dv.tables = make([]map[netsim.NodeID]Entry, n)
+	dv.tables = make([][]dvRow, n)
 	dv.ownSeq = make([]uint32, n)
 	dv.dirty = make([]bool, n)
 	dv.prevHead = make([]netsim.NodeID, n)
 	dv.advSeq = make([]uint32, n)
 	dv.filter = netsim.NewSeqFilter(n)
 	if dv.softTTL > 0 {
-		dv.refreshed = make([]map[netsim.NodeID]float64, n)
 		dv.lastAdv = make([]float64, n)
-		for i := range dv.refreshed {
-			dv.refreshed[i] = make(map[netsim.NodeID]float64)
-		}
 	}
 	for i := 0; i < n; i++ {
 		dv.prevHead[i] = dv.cl.HeadOf(netsim.NodeID(i))
 		id := netsim.NodeID(i)
-		dv.tables[i] = map[netsim.NodeID]Entry{
-			id: {Dest: id, NextHop: id, Metric: 0, Seq: 0},
-		}
+		dv.tables[i] = []dvRow{{Entry: Entry{Dest: id, NextHop: id, Metric: 0, Seq: 0}}}
 		dv.advertise(id)
 	}
 	return nil
@@ -152,11 +173,10 @@ func (dv *IntraDV) OnLinkEvent(ev netsim.LinkEvent) {
 // break advertisement.
 func (dv *IntraDV) poison(at, lost netsim.NodeID) {
 	tbl := dv.tables[at]
-	for dest, e := range tbl {
-		if dest != at && e.NextHop == lost && e.Metric < InfMetric {
+	for k := range tbl {
+		if e := &tbl[k].Entry; e.Dest != at && e.NextHop == lost && e.Metric < InfMetric {
 			e.Metric = InfMetric
 			e.Seq++ // even destination-issued → odd broken
-			tbl[dest] = e
 		}
 	}
 }
@@ -189,14 +209,22 @@ func (dv *IntraDV) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	if dv.cl.HeadOf(rcv) != ad.Cluster || dv.cl.HeadOf(msg.From) != ad.Cluster {
 		return // stale cross-cluster advertisement
 	}
+	// Both the advert and the table are sorted by Dest, so one forward
+	// cursor j over the table meets every row's destination: a merge
+	// join, with a row the table lacks inserted at the cursor.
 	changed := false
+	now := dv.env.Now()
 	tbl := dv.tables[rcv]
+	j := 0
 	for _, row := range ad.Rows {
+		for j < len(tbl) && tbl[j].Dest < row.Dest {
+			j++
+		}
 		if row.Dest == rcv {
 			// The destination outruns any stale report about itself.
 			if row.Seq > dv.ownSeq[rcv] {
 				dv.ownSeq[rcv] = row.Seq + 2 - row.Seq%2
-				tbl[rcv] = Entry{Dest: rcv, NextHop: rcv, Metric: 0, Seq: dv.ownSeq[rcv]}
+				tbl[j].Entry = Entry{Dest: rcv, NextHop: rcv, Metric: 0, Seq: dv.ownSeq[rcv]}
 				changed = true
 			}
 			continue
@@ -205,9 +233,13 @@ func (dv *IntraDV) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 		if cand.Metric > InfMetric {
 			cand.Metric = InfMetric
 		}
-		cur, exists := tbl[row.Dest]
-		if !exists || cand.Seq > cur.Seq || (cand.Seq == cur.Seq && cand.Metric < cur.Metric) {
-			tbl[row.Dest] = cand
+		if j == len(tbl) || tbl[j].Dest != row.Dest {
+			tbl = append(tbl, dvRow{})
+			copy(tbl[j+1:], tbl[j:])
+			tbl[j] = dvRow{Entry: cand}
+			changed = true
+		} else if cur := tbl[j].Entry; cand.Seq > cur.Seq || (cand.Seq == cur.Seq && cand.Metric < cur.Metric) {
+			tbl[j].Entry = cand
 			if cand != cur {
 				changed = true
 			}
@@ -215,11 +247,12 @@ func (dv *IntraDV) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 		if dv.softTTL > 0 {
 			// The advertisement supports whatever live route through this
 			// neighbor the table now holds — refresh its lease.
-			if e := tbl[row.Dest]; e.NextHop == msg.From && e.Metric < InfMetric {
-				dv.refreshed[rcv][row.Dest] = dv.env.Now()
+			if r := &tbl[j]; r.NextHop == msg.From && r.Metric < InfMetric {
+				r.lease = now
 			}
 		}
 	}
+	dv.tables[rcv] = tbl
 	if changed {
 		dv.advertise(rcv)
 	}
@@ -239,16 +272,23 @@ func (dv *IntraDV) OnTick(now float64) {
 			dv.prevHead[i] = own
 			dv.dirty[i] = true
 		}
+		// Purge rows of departed members, keeping Dest order; the self
+		// row stays, and self tracks where it lands.
 		tbl := dv.tables[i]
-		for dest := range tbl {
-			if dest != id && dv.cl.HeadOf(dest) != own {
-				delete(tbl, dest)
-				if dv.softTTL > 0 {
-					delete(dv.refreshed[i], dest)
-				}
+		kept, self := 0, 0
+		for _, r := range tbl {
+			if r.Dest != id && dv.cl.HeadOf(r.Dest) != own {
 				dv.dirty[i] = true
+				continue
 			}
+			if r.Dest == id {
+				self = kept
+			}
+			tbl[kept] = r
+			kept++
 		}
+		tbl = tbl[:kept]
+		dv.tables[i] = tbl
 		if dv.softTTL > 0 {
 			dv.expireStale(id, now)
 			if now-dv.lastAdv[i] >= dv.softRefresh {
@@ -259,7 +299,7 @@ func (dv *IntraDV) OnTick(now float64) {
 			dv.dirty[i] = false
 			// Bump the even self-sequence so stale reports lose.
 			dv.ownSeq[i] += 2
-			tbl[id] = Entry{Dest: id, NextHop: id, Metric: 0, Seq: dv.ownSeq[i]}
+			tbl[self].Entry = Entry{Dest: id, NextHop: id, Metric: 0, Seq: dv.ownSeq[i]}
 			dv.advertise(id)
 		}
 	}
@@ -272,17 +312,17 @@ func (dv *IntraDV) OnTick(now float64) {
 // still-working neighbor simply re-announces the route next refresh.
 func (dv *IntraDV) expireStale(at netsim.NodeID, now float64) {
 	tbl := dv.tables[at]
-	for dest, e := range tbl {
-		if dest == at || e.Metric >= InfMetric {
+	for k := range tbl {
+		r := &tbl[k]
+		if r.Dest == at || r.Metric >= InfMetric {
 			continue
 		}
-		if now-dv.refreshed[at][dest] > dv.softTTL {
-			e.Metric = InfMetric
-			if e.Seq%2 == 0 {
-				e.Seq++ // destination-issued even → broken odd
+		if now-r.lease > dv.softTTL {
+			r.Metric = InfMetric
+			if r.Seq%2 == 0 {
+				r.Seq++ // destination-issued even → broken odd
 			}
-			tbl[dest] = e
-			delete(dv.refreshed[at], dest)
+			r.lease = 0
 			dv.dirty[at] = true
 		}
 	}
@@ -293,16 +333,18 @@ func (dv *IntraDV) markDirty(id netsim.NodeID) {
 	dv.dirty[id] = true
 }
 
-// advertise broadcasts the node's current vector for its cluster.
+// advertise broadcasts the node's current vector for its cluster, its
+// rows in table (Dest) order. The rows get their own slice: a delaying
+// medium may hold the advert for many ticks while the table moves on.
 func (dv *IntraDV) advertise(from netsim.NodeID) {
 	if dv.softTTL > 0 {
 		dv.lastAdv[from] = dv.env.Now()
 	}
 	own := dv.cl.HeadOf(from)
 	tbl := dv.tables[from]
-	rows := make([]Entry, 0, len(tbl))
-	for _, e := range tbl {
-		rows = append(rows, e)
+	rows := make([]Entry, len(tbl))
+	for k := range tbl {
+		rows[k] = tbl[k].Entry
 	}
 	dv.advSeq[from]++
 	dv.env.Broadcast(netsim.Message{
@@ -317,18 +359,19 @@ func (dv *IntraDV) advertise(from netsim.NodeID) {
 // Lookup returns the node's live table entry for dest, if any
 // (unreachable-poisoned entries do not count as live).
 func (dv *IntraDV) Lookup(at, dest netsim.NodeID) (Entry, bool) {
-	e, ok := dv.tables[at][dest]
-	if !ok || e.Metric >= InfMetric {
+	tbl := dv.tables[at]
+	k, ok := findRow(tbl, dest)
+	if !ok || tbl[k].Metric >= InfMetric {
 		return Entry{}, false
 	}
-	return e, true
+	return tbl[k].Entry, true
 }
 
 // TableSize returns the number of live entries at a node.
 func (dv *IntraDV) TableSize(at netsim.NodeID) int {
 	count := 0
-	for _, e := range dv.tables[at] {
-		if e.Metric < InfMetric {
+	for _, r := range dv.tables[at] {
+		if r.Metric < InfMetric {
 			count++
 		}
 	}

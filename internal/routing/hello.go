@@ -37,8 +37,9 @@ type Hello struct {
 
 	env      netsim.Env
 	lastSent float64
-	// heard[a][b] is the time node a last heard node b's beacon.
-	heard []map[netsim.NodeID]float64
+	// heard[a] is node a's neighbor table, sorted by id: each row holds
+	// the time a last heard that neighbor's beacon.
+	heard [][]heardRow
 	// seqOut[a] is node a's beacon sequence counter; filter rejects
 	// stale and duplicated beacons under delaying/reordering media.
 	seqOut []uint32
@@ -46,6 +47,35 @@ type Hello struct {
 }
 
 var _ netsim.Protocol = (*Hello)(nil)
+
+// heardRow is one neighbor-table row: node id, last heard at time t.
+type heardRow struct {
+	id netsim.NodeID
+	t  float64
+}
+
+// findHeard returns the index of id in a sorted neighbor table, or the
+// index where it would be inserted, and whether it is present.
+func findHeard(tbl []heardRow, id netsim.NodeID) (int, bool) {
+	lo, hi := 0, len(tbl)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tbl[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(tbl) && tbl[lo].id == id
+}
+
+// forget drops b from a's neighbor table, if present.
+func (h *Hello) forget(a, b netsim.NodeID) {
+	tbl := h.heard[a]
+	if k, ok := findHeard(tbl, b); ok {
+		h.heard[a] = append(tbl[:k], tbl[k+1:]...)
+	}
+}
 
 // NewHello builds the lower-bound (event-driven) HELLO protocol.
 func NewHello(bits float64) (*Hello, error) {
@@ -76,10 +106,7 @@ func (h *Hello) Name() string { return "hello" }
 // steady-state measurements (experiments snapshot tallies after warmup).
 func (h *Hello) Start(env netsim.Env) error {
 	h.env = env
-	h.heard = make([]map[netsim.NodeID]float64, env.NumNodes())
-	for i := range h.heard {
-		h.heard[i] = make(map[netsim.NodeID]float64)
-	}
+	h.heard = make([][]heardRow, env.NumNodes())
 	h.seqOut = make([]uint32, env.NumNodes())
 	h.filter = netsim.NewSeqFilter(env.NumNodes())
 	for i := 0; i < env.NumNodes(); i++ {
@@ -100,8 +127,8 @@ func (h *Hello) OnLinkEvent(ev netsim.LinkEvent) {
 		h.beacon(ev.B, ev.Border)
 	} else {
 		// Soft timer: drop silently on both sides.
-		delete(h.heard[ev.A], ev.B)
-		delete(h.heard[ev.B], ev.A)
+		h.forget(ev.A, ev.B)
+		h.forget(ev.B, ev.A)
 	}
 }
 
@@ -123,7 +150,15 @@ func (h *Hello) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	if !h.env.IsNeighbor(rcv, msg.From) {
 		return
 	}
-	h.heard[rcv][msg.From] = h.env.Now()
+	tbl := h.heard[rcv]
+	k, ok := findHeard(tbl, msg.From)
+	if !ok {
+		tbl = append(tbl, heardRow{})
+		copy(tbl[k+1:], tbl[k:])
+		tbl[k].id = msg.From
+		h.heard[rcv] = tbl
+	}
+	tbl[k].t = h.env.Now()
 }
 
 // OnTick implements netsim.Protocol: periodic beaconing and soft-timer
@@ -138,12 +173,16 @@ func (h *Hello) OnTick(now float64) {
 			h.beacon(netsim.NodeID(i), false)
 		}
 	}
-	for _, tbl := range h.heard {
-		for nb, t := range tbl {
-			if now-t > h.timeout {
-				delete(tbl, nb)
+	for i, tbl := range h.heard {
+		kept := 0
+		for _, r := range tbl {
+			if now-r.t > h.timeout {
+				continue
 			}
+			tbl[kept] = r
+			kept++
 		}
+		h.heard[i] = tbl[:kept]
 	}
 }
 
@@ -162,7 +201,7 @@ func (h *Hello) beacon(from netsim.NodeID, border bool) {
 // Knows reports whether node a currently has node b in its neighbor
 // table.
 func (h *Hello) Knows(a, b netsim.NodeID) bool {
-	_, ok := h.heard[a][b]
+	_, ok := findHeard(h.heard[a], b)
 	return ok
 }
 
