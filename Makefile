@@ -19,7 +19,8 @@ race:
 # differential lockstep matrix and the metamorphic/conformance gates of
 # internal/difftest), and short fuzz smokes over the checkpoint journal
 # and job-log decoders, the netsim config validator, the
-# pending-delivery queue, the faults config validator, the daemon's
+# pending-delivery queue, the engine's sequence filters, the faults
+# config validator, the daemon's
 # HTTP job-spec decoder, the distributed-sweep wire protocol (lease
 # grants plus the coordinator's claim/heartbeat/result/done decoders),
 # and the storage fault-plan decoder.
@@ -30,6 +31,7 @@ check:
 	go test -run '^$$' -fuzz FuzzFaultPlanDecode -fuzztime 5s ./internal/vfs
 	go test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 5s ./internal/netsim
 	go test -run '^$$' -fuzz FuzzPendingQueue -fuzztime 5s ./internal/netsim
+	go test -run '^$$' -fuzz FuzzSeqFilters -fuzztime 5s ./internal/netsim
 	go test -run '^$$' -fuzz FuzzConfigValidate -fuzztime 5s ./internal/faults
 	go test -run '^$$' -fuzz FuzzJobSpecDecode -fuzztime 5s ./internal/service
 	go test -run '^$$' -fuzz FuzzLeaseDecode -fuzztime 5s ./internal/service

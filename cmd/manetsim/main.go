@@ -36,7 +36,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/mobility"
 	"repro/internal/netsim"
 	"repro/internal/routing"
 	"repro/internal/trace"
@@ -285,8 +284,9 @@ func runFaulty(ctx context.Context, out io.Writer, net core.Network, fcfg faults
 	return nil
 }
 
-// writeTrace runs a short traced simulation of the scenario and writes
-// the JSONL event log. The file is written atomically — a crash or an
+// writeTrace runs a short traced simulation of the scenario, under the
+// mobility model the options select, and writes the JSONL event log.
+// The file is written atomically — a crash or an
 // abort mid-run leaves either the previous trace or none, never a torn
 // one — and close errors surface instead of vanishing in a defer.
 func writeTrace(path string, net core.Network, opts experiments.Options) error {
@@ -299,10 +299,13 @@ func writeTrace(path string, net core.Network, opts experiments.Options) error {
 	if err != nil {
 		return err
 	}
+	model, err := opts.Model(net)
+	if err != nil {
+		return err
+	}
 	sim, err := netsim.New(netsim.Config{
 		N: net.N, Side: net.Side(), Range: net.R, Metric: opts.Metric,
-		Model: mobility.EpochRWP{Speed: net.V, Epoch: net.Side() / 4 / maxf(net.V, 1e-9)},
-		Dt:    net.R / 30 / maxf(net.V, 1e-9), Seed: opts.Seed,
+		Model: model, Dt: net.R / 30 / maxf(net.V, 1e-9), Seed: opts.Seed,
 		Stop: netsim.StopFromContext(opts.Ctx),
 	})
 	if err != nil {

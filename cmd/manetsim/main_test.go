@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"os"
@@ -104,6 +105,29 @@ func TestRunWritesTrace(t *testing.T) {
 	}
 	if len(data) == 0 || !strings.HasPrefix(string(data), `{"t":`) {
 		t.Errorf("trace file malformed: %q...", string(data[:min(40, len(data))]))
+	}
+}
+
+// TestTraceFollowsMobilityFlag checks that -trace simulates the model
+// -mobility selects: the same scenario traced under BCV and under
+// epoch-RWP must produce different event logs.
+func TestTraceFollowsMobilityFlag(t *testing.T) {
+	dir := t.TempDir()
+	traces := map[string][]byte{}
+	for _, mob := range []string{"bcv", "epoch-rwp"} {
+		path := filepath.Join(dir, mob+".jsonl")
+		var out strings.Builder
+		if err := run(context.Background(), []string{"-n", "60", "-events", "500", "-mobility", mob, "-trace", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[mob] = data
+	}
+	if bytes.Equal(traces["bcv"], traces["epoch-rwp"]) {
+		t.Error("-mobility bcv and -mobility epoch-rwp wrote identical traces")
 	}
 }
 

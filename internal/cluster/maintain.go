@@ -98,19 +98,13 @@ type Maintainer struct {
 	tick       int64
 	pending    []pendingJoin
 
-	// seqOut[a] numbers node a's CLUSTER messages; the filters generalize
-	// the in-flight JOIN dedup to every control class the maintainer
-	// consumes in handshake mode. CLUSTER frames carry distinct semantic
-	// payloads (a JOIN and its ACK), so they get exact-duplicate
-	// suppression with an anti-replay window — latest-wins filtering
-	// would starve the handshake under jitter, where a head's ACK is
-	// routinely leapfrogged by its next broadcast. HELLO beacons are
-	// pure liveness, so latest-wins is exactly right there. On ideal and
-	// loss-only media deliveries arrive in per-link send order, so
-	// neither filter ever fires and those regimes stay byte-identical.
-	seqOut        []uint32
-	filterCluster *netsim.DedupWindow
-	filterHello   *netsim.SeqFilter
+	// seqOut[a] numbers node a's CLUSTER messages, by which the engine
+	// suppresses exact duplicates and far-stale stragglers with an
+	// anti-replay window (netsim.Message.Seq): a medium-duplicated frame
+	// must not re-trigger an exchange, while an out-of-order-but-new
+	// frame (an ACK leapfrogged by the head's next broadcast) still
+	// lands.
+	seqOut []uint32
 }
 
 // pendingJoin tracks a member waiting for a head's ACK in handshake
@@ -181,8 +175,6 @@ func (m *Maintainer) Start(env netsim.Env) error {
 	m.seqOut = make([]uint32, env.NumNodes())
 	if m.handshake {
 		m.pending = make([]pendingJoin, env.NumNodes())
-		m.filterCluster = netsim.NewDedupWindow(env.NumNodes())
-		m.filterHello = netsim.NewSeqFilter(env.NumNodes())
 	}
 	return nil
 }
@@ -208,13 +200,6 @@ func (m *Maintainer) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	}
 	switch msg.Kind {
 	case netsim.MsgCluster:
-		// Exact-duplicate suppression for the whole CLUSTER class: a
-		// medium-duplicated frame or a far-stale straggler must not
-		// re-trigger an exchange, while an out-of-order-but-new frame
-		// (an ACK leapfrogged by the head's next broadcast) still lands.
-		if !m.filterCluster.Fresh(rcv, msg.From, msg.Seq) {
-			return
-		}
 		switch p := msg.Payload.(type) {
 		case joinRequest:
 			// The neighbor check guards against delayed JOINs from nodes
@@ -236,9 +221,6 @@ func (m *Maintainer) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 			}
 		}
 	case netsim.MsgHello:
-		if !m.filterHello.Fresh(rcv, msg.From, msg.Seq) {
-			return
-		}
 		// Soft-state shortcut: a pending member that hears any head's
 		// beacon retries its join immediately instead of waiting out the
 		// retry timer. The triggered JOIN inherits the beacon's Border

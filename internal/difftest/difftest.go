@@ -78,7 +78,9 @@ type delivery struct {
 
 // recorder is a passive protocol that captures the per-tick link-event
 // and delivery streams, so the harness can compare them element by
-// element (the engines do not expose their event slices uniformly).
+// element (the engines do not expose their event slices uniformly). It
+// sees only the deliveries each engine's sequence check passed, so the
+// stream also compares the two filters.
 type recorder struct {
 	events     []netsim.LinkEvent
 	deliveries []delivery
@@ -174,13 +176,22 @@ func Lockstep(s Scenario) error {
 	return err
 }
 
-// LockstepObserved is Lockstep plus the optimized engine's spatial-index
-// work over the stepped ticks, excluding the initial full build, so
-// callers can assert the run exercised the index's fast paths: a
-// lockstep in which no row is ever skipped proves nothing about the
-// skip rule.
-func LockstepObserved(s Scenario) (space.IndexStats, error) {
-	var none space.IndexStats
+// Observed is what a lockstep run saw the optimized engine do, so
+// callers can assert the run exercised its fast paths: a lockstep in
+// which no row is ever skipped proves nothing about the skip rule, and
+// one in which no frame is stale proves nothing about the sequence
+// filter.
+type Observed struct {
+	// Index is the spatial-index work over the stepped ticks, excluding
+	// the initial full build.
+	Index space.IndexStats
+	// Tallies are the final counters, which both engines agree on.
+	Tallies netsim.Tallies
+}
+
+// LockstepObserved is Lockstep plus what the optimized engine did.
+func LockstepObserved(s Scenario) (Observed, error) {
+	var none Observed
 	if s.Ticks <= 0 {
 		return none, fmt.Errorf("difftest %q: Ticks must be positive, got %d", s.Name, s.Ticks)
 	}
@@ -220,10 +231,13 @@ func LockstepObserved(s Scenario) (space.IndexStats, error) {
 		}
 	}
 	st := idx.IndexStats()
-	return space.IndexStats{
-		Ticks:         st.Ticks - built.Ticks,
-		RequeriedRows: st.RequeriedRows - built.RequeriedRows,
-		Teleports:     st.Teleports - built.Teleports,
+	return Observed{
+		Index: space.IndexStats{
+			Ticks:         st.Ticks - built.Ticks,
+			RequeriedRows: st.RequeriedRows - built.RequeriedRows,
+			Teleports:     st.Teleports - built.Teleports,
+		},
+		Tallies: idx.Tallies(),
 	}, nil
 }
 

@@ -165,6 +165,9 @@ func staticExtras(ticks int) []Scenario {
 // engine) with zero tolerated divergence. The tick engine's index
 // counters must show its fast paths fired: the ideal mobile scenarios
 // requery some rows but not all, and every static extra requeries none.
+// The sequence check must have withheld frames in the delaying or
+// duplicating scenarios (where the tick engine's lazily created filter
+// meets the oracle's always-on one) and none anywhere else.
 func TestLockstepMatrix(t *testing.T) {
 	count, ticks := 48, 120
 	if testing.Short() {
@@ -174,24 +177,32 @@ func TestLockstepMatrix(t *testing.T) {
 	var (
 		mu                 sync.Mutex
 		idealRows, idealRq int64
+		reorderStale       float64
 	)
 	t.Run("matrix", func(t *testing.T) {
 		for _, s := range append(scenarios(count, ticks), staticExtras(ticks)...) {
 			s := s
 			t.Run(s.Name, func(t *testing.T) {
 				t.Parallel()
-				st, err := LockstepObserved(s)
+				obs, err := LockstepObserved(s)
 				if err != nil {
 					t.Fatal(err)
 				}
 				switch {
 				case s.NewModel == nil:
-					checkStaticFastPath(t, st, ticks)
+					checkStaticFastPath(t, obs.Index, ticks)
 				case s.Faults == nil:
 					mu.Lock()
-					idealRows += st.Ticks * int64(s.Cfg.N)
-					idealRq += st.RequeriedRows
+					idealRows += obs.Index.Ticks * int64(s.Cfg.N)
+					idealRq += obs.Index.RequeriedRows
 					mu.Unlock()
+				}
+				if reorders(s) {
+					mu.Lock()
+					reorderStale += obs.Tallies.Stale
+					mu.Unlock()
+				} else if obs.Tallies.Stale != 0 {
+					t.Errorf("%v stale frames without delay or duplication", obs.Tallies.Stale)
 				}
 			})
 			if s.Cfg.Metric == geom.MetricTorus {
@@ -225,6 +236,16 @@ func TestLockstepMatrix(t *testing.T) {
 		t.Errorf("ideal mobile scenarios requeried %d of %d rows; want a partial requery (0 < requeried < all)",
 			idealRq, idealRows)
 	}
+	if reorderStale == 0 {
+		t.Error("no stale frame in any delay or duplication scenario: the sequence check never fired")
+	}
+}
+
+// reorders reports whether the scenario's medium delays or duplicates
+// frames, the only way a sequenced frame can arrive stale.
+func reorders(s Scenario) bool {
+	f := s.Faults
+	return f != nil && (f.Delay.BaseTicks > 0 || f.Delay.JitterTicks > 0 || f.DupProb > 0)
 }
 
 // checkStaticFastPath asserts the tick engine's stationary fast path
@@ -246,11 +267,11 @@ func TestStaticExtrasExerciseFastPaths(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			st, err := LockstepObserved(s)
+			obs, err := LockstepObserved(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkStaticFastPath(t, st, ticks)
+			checkStaticFastPath(t, obs.Index, ticks)
 		})
 	}
 }

@@ -291,7 +291,7 @@ func AblationFlatVsHybrid(opts Options) ([]FlatVsHybridRow, error) {
 // measureFlatBits measures flat DSDV per-node control bits per unit
 // time on the scenario.
 func measureFlatBits(net core.Network, opts Options) (float64, error) {
-	model, err := opts.model(net)
+	model, err := opts.Model(net)
 	if err != nil {
 		return 0, err
 	}

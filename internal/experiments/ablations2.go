@@ -97,7 +97,7 @@ func AblationLinkLifetime(opts Options) ([]LifetimeRow, error) {
 		func(ctx context.Context, i int) (LifetimeRow, error) {
 			net := base
 			net.R = fracs[i] * base.Side()
-			model, err := opts.model(net)
+			model, err := opts.Model(net)
 			if err != nil {
 				return LifetimeRow{}, err
 			}
@@ -177,7 +177,7 @@ func AblationHelloSchedule(opts Options) ([]HelloScheduleRow, error) {
 	res, err := RunSweepCtx(opts.context(), opts.sweep("ablation-hello-schedule"), len(intervals),
 		func(ctx context.Context, idx int) (HelloScheduleRow, error) {
 			interval := intervals[idx]
-			model, err := opts.model(net)
+			model, err := opts.Model(net)
 			if err != nil {
 				return HelloScheduleRow{}, err
 			}

@@ -98,7 +98,7 @@ func MeasureFaulty(net core.Network, fcfg faults.Config, opts Options) (Degradat
 	if err := net.Validate(); err != nil {
 		return DegradationPoint{}, err
 	}
-	model, err := opts.model(net)
+	model, err := opts.Model(net)
 	if err != nil {
 		return DegradationPoint{}, err
 	}

@@ -197,8 +197,9 @@ func (o Options) validate() (Options, error) {
 	return o, nil
 }
 
-// model builds the mobility model for a scenario.
-func (o Options) model(net core.Network) (mobility.Model, error) {
+// Model builds the mobility model Options.Mobility selects for a
+// scenario, as every measurement driver does.
+func (o Options) Model(net core.Network) (mobility.Model, error) {
 	switch o.Mobility {
 	case MobilityEpochRWP:
 		epoch := o.EpochFrac * net.Side() / math.Max(net.V, 1e-9)
@@ -256,7 +257,7 @@ func MeasureRates(net core.Network, opts Options) (Measured, error) {
 	if err := net.Validate(); err != nil {
 		return Measured{}, err
 	}
-	model, err := opts.model(net)
+	model, err := opts.Model(net)
 	if err != nil {
 		return Measured{}, err
 	}

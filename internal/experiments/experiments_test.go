@@ -46,7 +46,7 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatal(err) // kind is validated at model build time
 	}
 	bad, _ := (Options{Mobility: MobilityKind(99)}).validate()
-	if _, err := bad.model(core.Network{N: 10, R: 1, V: 1, Density: 1}); err == nil {
+	if _, err := bad.Model(core.Network{N: 10, R: 1, V: 1, Density: 1}); err == nil {
 		t.Error("unknown mobility kind accepted")
 	}
 }

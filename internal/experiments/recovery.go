@@ -137,7 +137,7 @@ func measureRecovery(net core.Network, fcfg faults.Config, windows int, opts Opt
 	if fcfg.Partition.PeriodTicks <= 0 || fcfg.Partition.DurationTicks <= 0 {
 		return RecoveryPoint{}, fmt.Errorf("experiments: recovery needs an enabled partition model")
 	}
-	model, err := opts.model(net)
+	model, err := opts.Model(net)
 	if err != nil {
 		return RecoveryPoint{}, err
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/netsim"
 )
 
 // TestFigure1ResumeByteIdentical is the crash-safety regression test:
@@ -233,5 +234,25 @@ func TestUnencodableResultSkipsJournal(t *testing.T) {
 		func(_ context.Context, _ int) (float64, error) { return nan, nil })
 	if err != nil || again.Executed != 1 || again.Cached != 0 {
 		t.Fatalf("resume after skip: err %v, executed %d, cached %d; want nil/1/0", err, again.Executed, again.Cached)
+	}
+}
+
+// TestSingleRunDriversHonourCancellation checks that the drivers which
+// run one simulation outside any sweep still abort on Options.Ctx: with
+// a context cancelled up front, each must fail with an error wrapping
+// netsim.ErrStopped instead of running its whole window.
+func TestSingleRunDriversHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := fastOptions()
+	opts.Ctx = ctx
+	drivers := map[string]func() error{
+		"HeadRatioTimeline": func() error { _, err := HeadRatioTimeline(opts); return err },
+		"SizeBiasStudy":     func() error { _, err := SizeBiasStudy(opts); return err },
+	}
+	for name, run := range drivers {
+		if err := run(); !errors.Is(err, netsim.ErrStopped) {
+			t.Errorf("%s with a cancelled context: err = %v, want netsim.ErrStopped", name, err)
+		}
 	}
 }

@@ -46,7 +46,7 @@ func SizeBiasStudy(opts Options) (SizeBias, error) {
 		return SizeBias{}, err
 	}
 	net := ablationBase()
-	model, err := opts.model(net)
+	model, err := opts.Model(net)
 	if err != nil {
 		return SizeBias{}, err
 	}
@@ -56,6 +56,7 @@ func SizeBiasStudy(opts Options) (SizeBias, error) {
 	sim, err := netsim.New(netsim.Config{
 		N: net.N, Side: net.Side(), Range: net.R,
 		Metric: opts.Metric, Model: model, Dt: dt, Seed: opts.Seed,
+		Stop: stopCheck(opts.Ctx),
 	})
 	if err != nil {
 		return SizeBias{}, err

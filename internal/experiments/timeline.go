@@ -22,7 +22,7 @@ func HeadRatioTimeline(opts Options) (*metrics.Figure, error) {
 		return nil, err
 	}
 	net := ablationBase()
-	model, err := opts.model(net)
+	model, err := opts.Model(net)
 	if err != nil {
 		return nil, err
 	}
@@ -36,6 +36,7 @@ func HeadRatioTimeline(opts Options) (*metrics.Figure, error) {
 	sim, err := netsim.New(netsim.Config{
 		N: net.N, Side: net.Side(), Range: net.R,
 		Metric: opts.Metric, Model: model, Dt: dt, Seed: opts.Seed,
+		Stop: stopCheck(opts.Ctx),
 	})
 	if err != nil {
 		return nil, err

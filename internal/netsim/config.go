@@ -134,8 +134,8 @@ type Tallies struct {
 	// zero unless a protocol has a bug.
 	Invalid float64
 	// Delivered counts successful point deliveries (message × receiving
-	// neighbor); Dropped counts point deliveries the fault medium lost.
-	// Without a Medium, Dropped is always zero.
+	// neighbor), Stale ones included; Dropped counts point deliveries the
+	// fault medium lost. Without a Medium, Dropped is always zero.
 	Delivered, Dropped float64
 	// Suppressed counts broadcasts from crashed nodes: a dead radio
 	// transmits nothing, so the message is neither tallied as traffic
@@ -149,6 +149,12 @@ type Tallies struct {
 	// (counted when duplicated, whether or not the copy later survives
 	// eviction or a dead receiver). Always zero without duplication.
 	Duplicated float64
+	// Stale counts delivered frames the engine's sequence check withheld
+	// from the protocols: duplicates, and frames overtaken by a newer one
+	// of a latest-wins class or fallen behind the CLUSTER window. They
+	// are also in Delivered. Always zero unless the medium delays or
+	// duplicates sequenced frames.
+	Stale float64
 }
 
 // Of returns the tally of a message kind, including border-flagged
@@ -204,6 +210,7 @@ func (t Tallies) Sub(o Tallies) Tallies {
 	out.Suppressed -= o.Suppressed
 	out.Overflow -= o.Overflow
 	out.Duplicated -= o.Duplicated
+	out.Stale -= o.Stale
 	return out
 }
 

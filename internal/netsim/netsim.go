@@ -87,10 +87,13 @@ type Message struct {
 	// in reaction to a Border message.
 	Border bool
 	// Seq is a per-sender, per-class sequence number stamped by hardened
-	// protocols (0 = unsequenced). Receivers feed it to a SeqFilter for
-	// stale-message rejection and duplicate suppression under delaying,
-	// reordering or duplicating media; the engine itself never interprets
-	// it.
+	// protocols (0 = unsequenced). Once the medium delays or duplicates a
+	// sequenced frame, the engine checks it on every delivery and
+	// withholds stale and duplicated frames from OnMessage (counted in
+	// Tallies.Stale): latest-wins for MsgHello and MsgRoute, an
+	// anti-replay window for MsgCluster. A protocol that stamps a class
+	// must number it from 1 upward in broadcast order, one counter per
+	// sender.
 	Seq uint32
 	// Payload carries protocol-specific content.
 	Payload any
@@ -127,7 +130,9 @@ type Protocol interface {
 	OnLinkEvent(ev LinkEvent)
 	// OnMessage is invoked when node rcv receives a broadcast. Protocols
 	// must filter on msg.Kind and may Broadcast in response (delivered
-	// within the same tick).
+	// within the same tick). The engine's sequence check runs first, so
+	// stale and duplicated sequenced frames never arrive here (see
+	// Message.Seq).
 	OnMessage(rcv NodeID, msg Message)
 	// OnTick is invoked once per tick after link events and the message
 	// exchange they triggered.

@@ -1,103 +1,99 @@
 package netsim
 
-// SeqFilter is the receiver-side defense hardened protocols use against
-// delaying, reordering and duplicating media: per (receiver, sender)
-// pair it tracks the highest sequence number accepted so far and rejects
-// anything at or below it — stale-message rejection and duplicate
-// suppression in one check, the DSDV sequence-number idea applied to a
-// whole control-message class.
+// seqWindowBits is the span of the CLUSTER class's anti-replay bitmap:
+// per (receiver, sender) pair the window remembers the highest sequence
+// seen and which of the previous 63 sequences arrived.
+const seqWindowBits = 64
+
+// seqFilter is the engine's receive-side sequence check, applied to
+// every point delivery before any protocol sees it. Protocols stamp
+// Message.Seq per sender and per class (0 = unsequenced, always
+// accepted); sequence numbers are comparable only within one class, so
+// each class has its own table, indexed [rcv*n+from]:
 //
-// Each protocol keeps one filter per message class it hardens, because
-// sequence numbers from different senders' counters are only comparable
-// within one class. Sequence number 0 means "unsequenced" and is always
-// accepted, so legacy emitters keep working; stamping protocols start
-// their counters at 1.
-type SeqFilter struct {
-	n    int
-	seen []uint32 // seen[rcv*n+from] = highest accepted seq
+//   - MsgHello and MsgRoute are latest-wins: a frame at or below the
+//     highest sequence accepted so far is a duplicate or has been
+//     overtaken by a newer one, and is rejected. A beacon or a whole
+//     distance vector supersedes every earlier one, so a stale frame
+//     must never roll a table back.
+//   - MsgCluster is an anti-replay window (the IPsec sequence-window
+//     idea): only an exact re-delivery or a frame ≥ seqWindowBits
+//     below the highest seen is rejected. CLUSTER frames carry distinct
+//     payloads (a JOIN and the ACK that answers it), and under jitter a
+//     head's ACK is routinely leapfrogged by its next broadcast;
+//     latest-wins would discard a message that was never delivered.
+//   - Other classes pass unchecked.
+//
+// The Sim creates the filter only when a sequenced frame is first
+// delayed or duplicated (see Sim.drainQueue for why a table that starts
+// empty then decides exactly as one that saw the whole run).
+type seqFilter struct {
+	n            int
+	hello, route []uint32 // highest accepted seq
+	clusterHead  []uint32 // highest seq seen
+	clusterMask  []uint64 // bit d set ⇔ seq (head − d) arrived
 }
 
-// NewSeqFilter builds a filter for an n-node network.
-func NewSeqFilter(n int) *SeqFilter {
-	return &SeqFilter{n: n, seen: make([]uint32, n*n)}
+func newSeqFilter(n int) *seqFilter {
+	nn := n * n
+	return &seqFilter{
+		n:           n,
+		hello:       make([]uint32, nn),
+		route:       make([]uint32, nn),
+		clusterHead: make([]uint32, nn),
+		clusterMask: make([]uint64, nn),
+	}
 }
 
-// Fresh reports whether a message from→rcv carrying seq should be
-// accepted, and records it. Duplicates (seq already accepted) and stale
-// messages (a newer seq from the same sender was accepted first) return
-// false.
-func (f *SeqFilter) Fresh(rcv, from NodeID, seq uint32) bool {
+// fresh reports whether a frame of the given kind from→rcv carrying seq
+// should be delivered, and records it.
+func (f *seqFilter) fresh(rcv, from NodeID, kind MsgKind, seq uint32) bool {
 	if seq == 0 {
 		return true
 	}
 	idx := int(rcv)*f.n + int(from)
-	if seq <= f.seen[idx] {
-		return false
+	switch kind {
+	case MsgHello:
+		return latestWins(f.hello, idx, seq)
+	case MsgRoute:
+		return latestWins(f.route, idx, seq)
+	case MsgCluster:
+		return f.window(idx, seq)
 	}
-	f.seen[idx] = seq
 	return true
 }
 
-// DedupWindowBits is the span of the DedupWindow's anti-replay bitmap:
-// per (receiver, sender) pair the window remembers the highest sequence
-// seen and which of the previous 63 sequences arrived.
-const DedupWindowBits = 64
-
-// DedupWindow is the receiver-side defense for control classes whose
-// frames carry distinct semantic payloads (a JOIN and the ACK that
-// answers it, say): exact-duplicate suppression with an anti-replay
-// sliding window, the IPsec sequence-window idea. Unlike SeqFilter's
-// latest-wins rule it accepts frames that arrive out of order — under a
-// jittering medium a sender's frame k routinely leapfrogs frame k−1,
-// and rejecting the older frame would discard a message that was never
-// delivered, not a duplicate. Only exact re-deliveries (the same seq
-// seen twice) and frames fallen behind the window (≥ DedupWindowBits
-// below the highest seen — far staler than any delay the engine can
-// introduce at realistic send rates) are rejected.
-//
-// On an in-order medium (ideal or loss-only) every accepted frame
-// advances the window head exactly like SeqFilter, so hardened
-// protocols behave byte-for-byte identically there whichever filter
-// they use. Sequence number 0 means "unsequenced" and is always
-// accepted.
-type DedupWindow struct {
-	n    int
-	seen []uint32 // seen[rcv*n+from] = highest seq observed
-	mask []uint64 // bit d set ⇔ seq (seen − d) arrived
-}
-
-// NewDedupWindow builds a window filter for an n-node network.
-func NewDedupWindow(n int) *DedupWindow {
-	return &DedupWindow{n: n, seen: make([]uint32, n*n), mask: make([]uint64, n*n)}
-}
-
-// Fresh reports whether a message from→rcv carrying seq should be
-// accepted, and records it. Exact duplicates and frames older than the
-// window return false.
-func (f *DedupWindow) Fresh(rcv, from NodeID, seq uint32) bool {
-	if seq == 0 {
-		return true
+// latestWins accepts seq iff it exceeds the highest accepted so far.
+func latestWins(seen []uint32, idx int, seq uint32) bool {
+	if seq <= seen[idx] {
+		return false
 	}
-	idx := int(rcv)*f.n + int(from)
-	head := f.seen[idx]
+	seen[idx] = seq
+	return true
+}
+
+// window accepts seq unless it was seen already or lies seqWindowBits or
+// more below the highest seen.
+func (f *seqFilter) window(idx int, seq uint32) bool {
+	head := f.clusterHead[idx]
 	switch {
 	case seq > head:
-		if shift := seq - head; shift >= DedupWindowBits {
-			f.mask[idx] = 0
+		if shift := seq - head; shift >= seqWindowBits {
+			f.clusterMask[idx] = 0
 		} else {
-			f.mask[idx] <<= shift
+			f.clusterMask[idx] <<= shift
 		}
-		f.mask[idx] |= 1
-		f.seen[idx] = seq
+		f.clusterMask[idx] |= 1
+		f.clusterHead[idx] = seq
 		return true
-	case head-seq >= DedupWindowBits:
+	case head-seq >= seqWindowBits:
 		return false
 	default:
 		bit := uint64(1) << (head - seq)
-		if f.mask[idx]&bit != 0 {
+		if f.clusterMask[idx]&bit != 0 {
 			return false
 		}
-		f.mask[idx] |= bit
+		f.clusterMask[idx] |= bit
 		return true
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -97,6 +97,9 @@ type Sim struct {
 	// allocated on the first non-zero Fate.Delay, so media that never
 	// delay cost nothing.
 	pending *pendingQueue
+	// seqs rejects stale and duplicated sequenced frames. nil until a
+	// sequenced frame is first delayed or duplicated (see drainQueue).
+	seqs *seqFilter
 }
 
 var _ Env = (*Sim)(nil)
@@ -282,9 +285,8 @@ func (s *Sim) Degree(id NodeID) int { return int(s.adj.off[id+1] - s.adj.off[id]
 
 // IsNeighbor implements Env.
 func (s *Sim) IsNeighbor(a, b NodeID) bool {
-	list := s.adj.row(a)
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= b })
-	return i < len(list) && list[i] == b
+	_, ok := slices.BinarySearch(s.adj.row(a), b)
+	return ok
 }
 
 // Position returns the current position of a node.
@@ -348,6 +350,15 @@ func (s *Sim) Broadcast(msg Message) {
 // array, no capacity discard — so steady-state drains are allocation
 // free. A runaway protocol that floods without termination is cut off
 // with an error.
+//
+// The sequence filter is created the first time a sequenced frame
+// (Seq ≠ 0) is delayed or duplicated. Until then every sequenced point
+// delivery happened here, in queue order, and each sender stamps its
+// class counter in broadcast order, so every later frame a receiver
+// gets from that sender in that class carries a higher seq than any it
+// got before. A filter table that starts empty at that moment therefore
+// accepts and rejects exactly what one fed since Start would. Ideal and
+// loss/churn-only runs never create it.
 func (s *Sim) drainQueue() error {
 	// Legitimate protocols broadcast O(N) messages per tick (a full
 	// cluster re-formation plus a table round is a few multiples of N);
@@ -369,6 +380,9 @@ func (s *Sim) drainQueue() error {
 				s.tallies.Dropped++
 				continue
 			}
+			if s.seqs == nil && msg.Seq != 0 && (fate.Delay > 0 || fate.Dup) {
+				s.seqs = newSeqFilter(s.cfg.N)
+			}
 			s.deliverOrPark(nb, msg, fate.Delay)
 			if fate.Dup {
 				s.tallies.Duplicated++
@@ -384,10 +398,16 @@ func (s *Sim) drainQueue() error {
 	return nil
 }
 
-// deliver fires one point delivery into the protocol stack.
+// deliver fires one point delivery into the protocol stack, unless the
+// sequence filter rejects it as stale or duplicated (counted in both
+// Delivered and Stale: the frame did reach the receiver's radio).
 func (s *Sim) deliver(rcv NodeID, msg Message) {
 	s.delivered++
 	s.tallies.Delivered++
+	if s.seqs != nil && !s.seqs.fresh(rcv, msg.From, msg.Kind, msg.Seq) {
+		s.tallies.Stale++
+		return
+	}
 	for _, p := range s.protocols {
 		p.OnMessage(rcv, msg)
 	}

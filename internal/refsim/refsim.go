@@ -9,7 +9,9 @@
 // counting sorts), link events come from a naive membership scan over
 // every candidate pair (no merge walk over shared buffers), and the
 // message queue is a plain head-popped slice allocated afresh as it grows
-// (no ring drain, no buffer reuse). Every tick allocates freely.
+// (no ring drain, no buffer reuse), and the receive-side sequence check
+// runs from Start on maps keyed by stream (no dense tables, no lazy
+// creation). Every tick allocates freely.
 //
 // The two engines must agree bit-for-bit: same positions, same neighbor
 // lists, same link events in the same order, same delivery sequence (and
@@ -64,6 +66,29 @@ type Sim struct {
 	// reuse. Releases scan the whole slice; overflow evictions scan it
 	// again for the receiver's oldest live entry. Deliberately naive.
 	pending []refPending
+
+	// highest[k] is the highest sequence number seen on stream k, and
+	// arrived holds every CLUSTER frame accepted so far. Both grow for
+	// the whole run.
+	highest map[seqStream]uint32
+	arrived map[seqArrival]bool
+}
+
+// clusterWindow is how far below the highest CLUSTER sequence seen a
+// frame may arrive and still be accepted.
+const clusterWindow = 64
+
+// seqStream is one sender's sequence stream of one class, as one
+// receiver sees it.
+type seqStream struct {
+	kind      netsim.MsgKind
+	rcv, from netsim.NodeID
+}
+
+// seqArrival is one accepted frame of a stream.
+type seqArrival struct {
+	seqStream
+	seq uint32
 }
 
 // refPending is one delayed point delivery awaiting its due tick.
@@ -101,14 +126,16 @@ func New(cfg netsim.Config) (*Sim, error) {
 		return nil, fmt.Errorf("refsim: init mobility: %w", err)
 	}
 	s := &Sim{
-		cfg:    cfg,
-		metric: metric,
-		model:  cfg.Model,
-		rngMob: src.Split("mobility").Rand(),
-		medium: cfg.Medium,
-		stop:   cfg.Stop,
-		pop:    pop,
-		prev:   make([][]netsim.NodeID, cfg.N),
+		cfg:     cfg,
+		metric:  metric,
+		model:   cfg.Model,
+		rngMob:  src.Split("mobility").Rand(),
+		medium:  cfg.Medium,
+		stop:    cfg.Stop,
+		pop:     pop,
+		prev:    make([][]netsim.NodeID, cfg.N),
+		highest: map[seqStream]uint32{},
+		arrived: map[seqArrival]bool{},
 	}
 	if s.medium != nil {
 		s.medium.Reset(cfg.N, src.Split("faults"))
@@ -321,13 +348,52 @@ func (s *Sim) drainQueue() error {
 	return nil
 }
 
-// deliver fires one point delivery into the protocol stack.
+// deliver fires one point delivery into the protocol stack, unless the
+// sequence check withholds it (counted in Delivered and Stale, as in the
+// optimized engine).
 func (s *Sim) deliver(rcv netsim.NodeID, msg netsim.Message) {
 	s.delivered++
 	s.tallies.Delivered++
+	if !s.fresh(rcv, msg) {
+		s.tallies.Stale++
+		return
+	}
 	for _, p := range s.protocols {
 		p.OnMessage(rcv, msg)
 	}
+}
+
+// fresh applies the class rules to a sequenced frame and records it:
+// HELLO and ROUTE accept only a sequence above the highest seen; CLUSTER
+// accepts any sequence not seen before, unless it is clusterWindow or
+// more below the highest. Unsequenced frames and other classes pass.
+func (s *Sim) fresh(rcv netsim.NodeID, msg netsim.Message) bool {
+	if msg.Seq == 0 {
+		return true
+	}
+	k := seqStream{kind: msg.Kind, rcv: rcv, from: msg.From}
+	top := s.highest[k]
+	switch msg.Kind {
+	case netsim.MsgHello, netsim.MsgRoute:
+		if msg.Seq <= top {
+			return false
+		}
+	case netsim.MsgCluster:
+		if msg.Seq <= top && top-msg.Seq >= clusterWindow {
+			return false
+		}
+		a := seqArrival{seqStream: k, seq: msg.Seq}
+		if s.arrived[a] {
+			return false
+		}
+		s.arrived[a] = true
+	default:
+		return true
+	}
+	if msg.Seq > top {
+		s.highest[k] = msg.Seq
+	}
+	return true
 }
 
 // deliverOrPark applies a non-drop fate under the same rules as the

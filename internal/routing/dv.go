@@ -84,11 +84,10 @@ type IntraDV struct {
 	prevHead []netsim.NodeID
 
 	// advSeq numbers each node's advertisements (distinct from the DSDV
-	// destination sequence numbers inside the rows); filter rejects
-	// stale and medium-duplicated adverts so a delayed vector cannot
-	// roll a table back or re-trigger a cascade.
+	// destination sequence numbers inside the rows); by it the engine
+	// rejects stale and medium-duplicated adverts, so a delayed vector
+	// cannot roll a table back or re-trigger a cascade.
 	advSeq []uint32
-	filter *netsim.SeqFilter
 
 	// Soft state (EnableSoftState): routes expire unless refreshed, so
 	// tables survive a medium that silently loses advertisements.
@@ -143,7 +142,6 @@ func (dv *IntraDV) Start(env netsim.Env) error {
 	dv.dirty = make([]bool, n)
 	dv.prevHead = make([]netsim.NodeID, n)
 	dv.advSeq = make([]uint32, n)
-	dv.filter = netsim.NewSeqFilter(n)
 	if dv.softTTL > 0 {
 		dv.lastAdv = make([]float64, n)
 	}
@@ -192,17 +190,12 @@ func (dv *IntraDV) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	if !ok {
 		return // a Hybrid accounting round or foreign payload
 	}
-	// Hardening against delaying/reordering/duplicating media: reject
-	// adverts that arrive out of sequence (an old vector must never roll
-	// the table back) and adverts from nodes that are no longer
-	// neighbors (adopting them would install a next hop the receiver
-	// cannot reach). Same-tick delivery implies in-order arrival from a
-	// current neighbor, so the ideal and loss-only paths never hit
-	// either guard. The payload type is checked first so Hybrid's
-	// unstamped accounting rounds never touch the filter.
-	if !dv.filter.Fresh(rcv, msg.From, msg.Seq) {
-		return
-	}
+	// Hardening against delaying/reordering media: the engine has already
+	// withheld out-of-sequence adverts (an old vector must never roll the
+	// table back); adverts from nodes that are no longer neighbors are
+	// ignored here (adopting them would install a next hop the receiver
+	// cannot reach). Same-tick delivery implies the sender is a current
+	// neighbor, so the ideal and loss-only paths never hit the guard.
 	if !dv.env.IsNeighbor(rcv, msg.From) {
 		return
 	}

@@ -40,10 +40,9 @@ type Hello struct {
 	// heard[a] is node a's neighbor table, sorted by id: each row holds
 	// the time a last heard that neighbor's beacon.
 	heard [][]heardRow
-	// seqOut[a] is node a's beacon sequence counter; filter rejects
-	// stale and duplicated beacons under delaying/reordering media.
+	// seqOut[a] is node a's beacon sequence counter; the engine rejects
+	// stale and duplicated beacons by it under delaying/reordering media.
 	seqOut []uint32
-	filter *netsim.SeqFilter
 }
 
 var _ netsim.Protocol = (*Hello)(nil)
@@ -108,7 +107,6 @@ func (h *Hello) Start(env netsim.Env) error {
 	h.env = env
 	h.heard = make([][]heardRow, env.NumNodes())
 	h.seqOut = make([]uint32, env.NumNodes())
-	h.filter = netsim.NewSeqFilter(env.NumNodes())
 	for i := 0; i < env.NumNodes(); i++ {
 		h.beacon(netsim.NodeID(i), false)
 	}
@@ -133,18 +131,14 @@ func (h *Hello) OnLinkEvent(ev netsim.LinkEvent) {
 }
 
 // OnMessage implements netsim.Protocol: receiving a HELLO refreshes the
-// sender's entry in the receiver's table. Two hardening guards protect
-// the table under non-ideal media: stale or duplicated beacons (sequence
-// number at or below one already accepted) are rejected, and a beacon
-// from a node that is no longer a neighbor is ignored — a delayed frame
-// must not resurrect an entry the soft timer already dropped. On the
-// ideal medium both guards never fire: same-tick delivery implies the
-// sender is a current neighbor and beacons arrive in sequence order.
+// sender's entry in the receiver's table. The engine has already
+// withheld stale and duplicated beacons (by sequence number); a beacon
+// from a node that is no longer a neighbor is ignored here — a delayed
+// frame must not resurrect an entry the soft timer already dropped. On
+// the ideal medium the guard never fires: same-tick delivery implies the
+// sender is a current neighbor.
 func (h *Hello) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	if msg.Kind != netsim.MsgHello {
-		return
-	}
-	if !h.filter.Fresh(rcv, msg.From, msg.Seq) {
 		return
 	}
 	if !h.env.IsNeighbor(rcv, msg.From) {

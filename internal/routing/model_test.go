@@ -26,7 +26,6 @@ type modelIntraDV struct {
 	dirty    []bool
 	prevHead []netsim.NodeID
 	advSeq   []uint32
-	filter   *netsim.SeqFilter
 
 	softTTL     float64
 	softRefresh float64
@@ -44,7 +43,6 @@ func (dv *modelIntraDV) Start(env netsim.Env) error {
 	dv.dirty = make([]bool, n)
 	dv.prevHead = make([]netsim.NodeID, n)
 	dv.advSeq = make([]uint32, n)
-	dv.filter = netsim.NewSeqFilter(n)
 	if dv.softTTL > 0 {
 		dv.refreshed = make([]map[netsim.NodeID]float64, n)
 		dv.lastAdv = make([]float64, n)
@@ -89,9 +87,6 @@ func (dv *modelIntraDV) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	}
 	ad, ok := msg.Payload.(vectorAd)
 	if !ok {
-		return
-	}
-	if !dv.filter.Fresh(rcv, msg.From, msg.Seq) {
 		return
 	}
 	if !dv.env.IsNeighbor(rcv, msg.From) {
@@ -236,7 +231,6 @@ type modelHello struct {
 	lastSent float64
 	heard    []map[netsim.NodeID]float64
 	seqOut   []uint32
-	filter   *netsim.SeqFilter
 }
 
 func (h *modelHello) Name() string { return "hello-model" }
@@ -248,7 +242,6 @@ func (h *modelHello) Start(env netsim.Env) error {
 		h.heard[i] = make(map[netsim.NodeID]float64)
 	}
 	h.seqOut = make([]uint32, env.NumNodes())
-	h.filter = netsim.NewSeqFilter(env.NumNodes())
 	for i := 0; i < env.NumNodes(); i++ {
 		h.beacon(netsim.NodeID(i), false)
 	}
@@ -270,9 +263,6 @@ func (h *modelHello) OnLinkEvent(ev netsim.LinkEvent) {
 
 func (h *modelHello) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	if msg.Kind != netsim.MsgHello {
-		return
-	}
-	if !h.filter.Fresh(rcv, msg.From, msg.Seq) {
 		return
 	}
 	if !h.env.IsNeighbor(rcv, msg.From) {
