@@ -34,16 +34,10 @@ func scenarios(count, ticks int) []Scenario {
 		v := 0.02 + 0.2*rng.Float64()          // distance per unit time
 		dt := r / v / 25                       // ~r/25 of travel per tick
 		seed := rng.Uint64()
-
-		// Cycle the optimized engine's tile count through serial, the
-		// smallest parallel split and an oversubscribed split; the oracle
-		// ignores Tiles, so every parallel scenario is also a
-		// parallel-vs-serial equivalence check.
-		tiles := []int{1, 2, 8}[i%3]
 		s := Scenario{
 			Cfg: netsim.Config{
 				N: n, Side: side, Range: r, Dt: dt, Seed: seed,
-				Metric: metrics[i%len(metrics)], Tiles: tiles,
+				Metric: metrics[i%len(metrics)],
 			},
 			Ticks: ticks,
 		}
@@ -112,7 +106,10 @@ func scenarios(count, ticks int) []Scenario {
 	return out
 }
 
-// name builds a stable, self-describing scenario label.
+// name builds a stable, self-describing scenario label. The t1/t2/t8
+// segment selects nothing: it is the tile count the matrix once cycled
+// through, kept so every scenario keeps the name that divergence reports
+// and recorded test results know it by.
 func name(i int, s Scenario) string {
 	lbl := "square"
 	if s.Cfg.Metric == geom.MetricTorus {
@@ -138,7 +135,7 @@ func name(i int, s Scenario) string {
 	if s.PeriodicHello {
 		hello = "periodic"
 	}
-	return fmt.Sprintf("%s/%s/%s/%s-hello/n%d/t%d#%d", lbl, mode, maint, hello, s.Cfg.N, s.Cfg.Tiles, i)
+	return fmt.Sprintf("%s/%s/%s/%s-hello/n%d/t%d#%d", lbl, mode, maint, hello, s.Cfg.N, []int{1, 2, 8}[i%3], i)
 }
 
 // staticExtras appends deterministic static scenarios the randomized

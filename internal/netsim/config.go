@@ -39,13 +39,6 @@ type Config struct {
 	// counted in Tallies.Overflow. Zero selects DefaultPendingLimit;
 	// negative values are rejected. Irrelevant without a delaying Medium.
 	PendingLimit int
-	// Tiles shards the per-tick topology rebuild into that many
-	// contiguous node-ID ranges stepped concurrently on a shared worker
-	// pool. 0 and 1 both select the serial path. The output is
-	// byte-identical for every value: each tile writes only its own rows
-	// (disjoint CSR segments), and the merge order is fixed by node ID,
-	// not by goroutine scheduling.
-	Tiles int
 	// Stop is an optional cooperative cancellation check, consulted once
 	// at the top of every Step before any state advances. When it
 	// returns true, Step (and therefore Run) fails with ErrStopped and
@@ -88,9 +81,6 @@ func (c Config) Validate() error {
 	}
 	if c.PendingLimit < 0 {
 		return fmt.Errorf("netsim: pending limit must be non-negative, got %d", c.PendingLimit)
-	}
-	if c.Tiles < 0 {
-		return fmt.Errorf("netsim: tiles must be non-negative, got %d", c.Tiles)
 	}
 	return nil
 }

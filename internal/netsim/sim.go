@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/mobility"
@@ -69,13 +68,7 @@ type Sim struct {
 	adj     csrAdj // current topology
 	prevAdj csrAdj // previous tick's topology
 
-	// Scratch reused every tick by the incremental CSR rebuild.
-	deg      []int32   // per-node degree this tick
-	rowStart []int32   // requeried row's offset inside its tile arena
-	changed  []bool    // row requeried this tick (may still be identical)
-	arenas   [][]int32 // per-tile gather buffers (disjoint writers)
-	tiles    int       // effective tile count, ≥ 1
-	tileWG   sync.WaitGroup
+	rowBuf []int32 // scratch row the rebuild requeries into
 
 	protocols []Protocol
 	started   bool
@@ -84,13 +77,11 @@ type Sim struct {
 	tick    int64
 	tallies Tallies
 
-	queue     []Message
-	events    []LinkEvent
-	delivered int64
-	dropped   int64
+	queue  []Message
+	events []LinkEvent
 	// attempts is the run-global delivery attempt counter handed to
 	// Medium.Deliver as the draw coordinate. Without delay or duplication
-	// it equals delivered+dropped, which keeps the fault-draw stream — and
+	// it equals Delivered+Dropped, which keeps the fault-draw stream — and
 	// therefore every existing loss/churn run — byte-identical.
 	attempts int64
 	// pending parks delayed deliveries until their due tick. Lazily
@@ -123,29 +114,17 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)
 	}
-	tiles := cfg.Tiles
-	if tiles < 1 {
-		tiles = 1
-	}
-	if tiles > cfg.N {
-		tiles = cfg.N
-	}
 	s := &Sim{
-		cfg:      cfg,
-		metric:   metric,
-		index:    index,
-		model:    cfg.Model,
-		rngMob:   src.Split("mobility").Rand(),
-		medium:   cfg.Medium,
-		stop:     cfg.Stop,
-		pop:      pop,
-		adj:      csrAdj{off: make([]int32, cfg.N+1)},
-		prevAdj:  csrAdj{off: make([]int32, cfg.N+1)},
-		deg:      make([]int32, cfg.N),
-		rowStart: make([]int32, cfg.N),
-		changed:  make([]bool, cfg.N),
-		arenas:   make([][]int32, tiles),
-		tiles:    tiles,
+		cfg:     cfg,
+		metric:  metric,
+		index:   index,
+		model:   cfg.Model,
+		rngMob:  src.Split("mobility").Rand(),
+		medium:  cfg.Medium,
+		stop:    cfg.Stop,
+		pop:     pop,
+		adj:     csrAdj{off: make([]int32, cfg.N+1)},
+		prevAdj: csrAdj{off: make([]int32, cfg.N+1)},
 	}
 	s.filt.s = s
 	if s.medium != nil {
@@ -297,11 +276,11 @@ func (s *Sim) Tallies() Tallies { return s.tallies }
 
 // Delivered returns the total number of successful point deliveries
 // (message × receiving neighbor) so far; useful for medium diagnostics.
-func (s *Sim) Delivered() int64 { return s.delivered }
+func (s *Sim) Delivered() int64 { return int64(s.tallies.Delivered) }
 
 // Dropped returns the total number of point deliveries the fault medium
 // lost; always zero on the ideal medium.
-func (s *Sim) Dropped() int64 { return s.dropped }
+func (s *Sim) Dropped() int64 { return int64(s.tallies.Dropped) }
 
 // MeanDegree returns the current average node degree.
 func (s *Sim) MeanDegree() float64 {
@@ -376,7 +355,6 @@ func (s *Sim) drainQueue() error {
 			s.attempts++
 			fate := s.medium.Deliver(s.attempts, msg.From, nb)
 			if fate.Drop {
-				s.dropped++
 				s.tallies.Dropped++
 				continue
 			}
@@ -402,7 +380,6 @@ func (s *Sim) drainQueue() error {
 // sequence filter rejects it as stale or duplicated (counted in both
 // Delivered and Stale: the frame did reach the receiver's radio).
 func (s *Sim) deliver(rcv NodeID, msg Message) {
-	s.delivered++
 	s.tallies.Delivered++
 	if s.seqs != nil && !s.seqs.fresh(rcv, msg.From, msg.Kind, msg.Seq) {
 		s.tallies.Stale++
@@ -450,7 +427,6 @@ func (s *Sim) releasePending() {
 	}
 	for _, p := range s.pending.take(s.tick) {
 		if !s.alive[p.rcv] {
-			s.dropped++
 			s.tallies.Dropped++
 			continue
 		}
@@ -467,88 +443,40 @@ func (s *Sim) refreshAlive() {
 	}
 }
 
-// rebuildRows reconstructs the CSR adjacency for the current tick,
-// re-querying only the rows the index flagged and splicing every other
-// row over from prevAdj unchanged. Three phases: gather (per-tile, rows
-// land in per-tile arenas), prefix-sum (serial, O(N)), fill (per-tile,
-// rows copied into their final flat segments). With cfg.Tiles ≥ 2 the
-// gather and fill phases run on the shared worker pool; tiles are
-// contiguous node-ID ranges, so all writes are tile-disjoint and the
-// result is byte-identical for every tile count.
+// rebuildRows reconstructs the CSR adjacency for the current tick in one
+// pass in node-ID order, appending every row straight into adj.flat. A
+// row the index did not flag is copied over from prevAdj unchanged; a
+// flagged row is requeried into the scratch row (sorted ascending — the
+// canonical CSR representation) and converted. With a medium active
+// every row is flagged, a dead node's row stays empty, and live pairs
+// pass through the fault filter.
 func (s *Sim) rebuildRows() {
 	n := s.cfg.N
-	if s.tiles == 1 {
-		s.gatherRange(0, 0, n)
-	} else {
-		s.runTiled(phaseGather)
-	}
-
 	off := s.adj.off
-	off[0] = 0
+	// Reserve a quarter of headroom over the previous tick's degree sum,
+	// so the buffer regrows only when the sum jumps past it; appending
+	// from a short buffer instead would regrow it in steps every tick.
+	prev := len(s.prevAdj.flat)
+	flat := slices.Grow(s.adj.flat[:0], prev+prev/4)
 	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + s.deg[i]
-	}
-	e := int(off[n])
-	if cap(s.adj.flat) < e {
-		s.adj.flat = make([]NodeID, e, e+e/4)
-	}
-	s.adj.flat = s.adj.flat[:e]
-
-	if s.tiles == 1 {
-		s.fillRange(0, 0, n)
-	} else {
-		s.runTiled(phaseFill)
-	}
-}
-
-// gatherRange runs the gather phase for rows [lo, hi) into tile t's
-// arena. Requeried rows are recomputed from the index (already sorted
-// ascending — the canonical CSR representation); clean rows only record
-// their previous degree. With a medium active every row is requeried,
-// dead rows become empty, and live pairs pass through the fault filter.
-func (s *Sim) gatherRange(t, lo, hi int) {
-	arena := s.arenas[t][:0]
-	if s.medium == nil {
-		for i := lo; i < hi; i++ {
-			if s.index.Requery(i) {
-				start := int32(len(arena))
-				arena = s.index.Row(i, arena)
-				s.rowStart[i] = start
-				s.deg[i] = int32(len(arena)) - start
-				s.changed[i] = true
-			} else {
-				s.deg[i] = s.prevAdj.off[i+1] - s.prevAdj.off[i]
-				s.changed[i] = false
-			}
+		off[i] = int32(len(flat))
+		if !s.index.Requery(i) {
+			flat = append(flat, s.prevAdj.row(NodeID(i))...)
+			continue
 		}
-	} else {
-		for i := lo; i < hi; i++ {
-			start := int32(len(arena))
-			if s.alive[i] {
-				arena = s.index.RowFiltered(i, arena, &s.filt)
-			}
-			s.rowStart[i] = start
-			s.deg[i] = int32(len(arena)) - start
-			s.changed[i] = true
+		row := s.rowBuf[:0]
+		if s.medium == nil {
+			row = s.index.Row(i, row)
+		} else if s.alive[i] {
+			row = s.index.RowFiltered(i, row, &s.filt)
 		}
-	}
-	s.arenas[t] = arena
-}
-
-// fillRange runs the fill phase for rows [lo, hi): requeried rows copy
-// out of tile t's arena, clean rows copy straight from prevAdj.
-func (s *Sim) fillRange(t, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst := s.adj.flat[s.adj.off[i]:s.adj.off[i+1]]
-		if s.changed[i] {
-			src := s.arenas[t][s.rowStart[i] : int(s.rowStart[i])+len(dst)]
-			for k, v := range src {
-				dst[k] = NodeID(v)
-			}
-		} else {
-			copy(dst, s.prevAdj.row(NodeID(i)))
+		for _, j := range row {
+			flat = append(flat, NodeID(j))
 		}
+		s.rowBuf = row
 	}
+	off[n] = int32(len(flat))
+	s.adj.flat = flat
 }
 
 // diffAdjacency emits LinkEvents comparing prevAdj to adj. Only rows
@@ -577,7 +505,7 @@ func (s *Sim) diffAdjacency() {
 	}
 	s.events = s.events[:0]
 	for i := 0; i < s.cfg.N; i++ {
-		if !s.changed[i] {
+		if !s.index.Requery(i) {
 			continue
 		}
 		oldL, newL := s.prevAdj.row(NodeID(i)), s.adj.row(NodeID(i))

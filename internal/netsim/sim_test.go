@@ -92,6 +92,32 @@ func TestStaticNetworkHasNoEvents(t *testing.T) {
 	}
 }
 
+// TestStationaryFastPathSkipsRebuild is the engine-level regression for
+// the zero-motion fast path: on a static model the index must flag
+// nothing after the initial build, so the per-tick topology work drops
+// to the O(N) drift-budget pass — no row requeries at all.
+func TestStationaryFastPathSkipsRebuild(t *testing.T) {
+	s, err := New(Config{N: 80, Side: 10, Range: 2, Dt: 0.1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := s.IndexStats().RequeriedRows
+	if base != 80 {
+		t.Fatalf("initial build requeried %d rows, want 80", base)
+	}
+	for i := 0; i < 50; i++ {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.IndexStats().RequeriedRows; got != base {
+		t.Errorf("static run requeried %d additional rows, want 0", got-base)
+	}
+	if ta := s.Tallies(); ta.LinkGen != 0 || ta.LinkBrk != 0 {
+		t.Errorf("static run produced link events: %+v", ta)
+	}
+}
+
 func TestRegisterAfterStartFails(t *testing.T) {
 	s, err := New(staticConfig(5))
 	if err != nil {

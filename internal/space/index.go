@@ -48,9 +48,7 @@ type IndexStats struct {
 // ascending — the canonical CSR representation, making the incremental
 // path bit-compatible with a from-scratch rebuild.
 //
-// Index is not safe for concurrent mutation; Begin must run alone.
-// Row/RowFiltered calls for distinct i may run concurrently (they write
-// only per-row state).
+// Index is not safe for concurrent use.
 type Index struct {
 	metric    geom.Metric
 	radius    float64
@@ -321,8 +319,7 @@ func (x *Index) Requery(i int) bool { return x.requery[i] }
 // the distance bound to uncovered cells. The per-candidate bound is
 // |d²−r²|/(2r+cap) ≤ |d−r|, which avoids a sqrt per candidate; for
 // candidates beyond the scan reach the quotient exceeds the cap, so the
-// overestimate is absorbed by the cap. Safe to call concurrently for
-// distinct i.
+// overestimate is absorbed by the cap.
 func (x *Index) Row(i int, out []int32) []int32 {
 	start := len(out)
 	p := x.pos[i]
@@ -342,7 +339,7 @@ func (x *Index) Row(i int, out []int32) []int32 {
 				out = append(out, j)
 			}
 		}
-		x.scanBlock(p, scan)
+		x.scanAll(scan)
 		x.margin[i] = m
 		x.baseA[i] = x.stepSum[i]
 		x.baseG[i] = x.gSum
@@ -394,8 +391,7 @@ func (x *Index) Row(i int, out []int32) []int32 {
 // no margin refresh: when a medium is active every tick requeries every
 // row, so margins are never consulted. The filter runs only on
 // candidates already inside the radius — the cheap distance test
-// rejects the bulk of the window first. Safe to call concurrently for
-// distinct i.
+// rejects the bulk of the window first.
 func (x *Index) RowFiltered(i int, out []int32, f PairFilter) []int32 {
 	start := len(out)
 	p := x.pos[i]
@@ -408,7 +404,7 @@ func (x *Index) RowFiltered(i int, out []int32, f PairFilter) []int32 {
 				out = append(out, j)
 			}
 		}
-		x.scanBlock(p, scan)
+		x.scanAll(scan)
 		insertionSort(out[start:])
 		return out
 	}
@@ -528,66 +524,15 @@ func (x *Index) windowCells(p geom.Vec2, buf []winCell) []winCell {
 	return buf
 }
 
-// scanBlock visits every node in the scan window around p, skipping
-// cells whose rectangle lies entirely beyond radius+cap of p (those can
-// contain neither links nor margin-relevant candidates). Callers append
-// through the closure, which captures their slice variable.
-func (x *Index) scanBlock(p geom.Vec2, fn func(j int32)) {
-	if x.wholeAxis {
-		// The window covers the whole axis; visit every cell exactly
-		// once to avoid duplicates under wrapping.
-		for _, b := range x.bucket {
-			for _, j := range b {
-				fn(j)
-			}
-		}
-		return
-	}
-	cs := x.cellSize
-	cx := int(p.X / cs)
-	cy := int(p.Y / cs)
-	if cx >= x.cells {
-		cx = x.cells - 1
-	}
-	if cy >= x.cells {
-		cy = x.cells - 1
-	}
-	wrap := x.metric.Kind() == geom.MetricTorus
-	for dy := -x.span; dy <= x.span; dy++ {
-		y := cy + dy
-		// Rectangle distance along Y in unwrapped coordinates; valid on
-		// the torus too because the window spans less than half the
-		// region (non-wholeAxis), so no wrapped image is closer.
-		dym := 0.0
-		if lo := float64(y) * cs; p.Y < lo {
-			dym = lo - p.Y
-		} else if hi := float64(y+1) * cs; p.Y > hi {
-			dym = p.Y - hi
-		}
-		if wrap {
-			y = ((y % x.cells) + x.cells) % x.cells
-		} else if y < 0 || y >= x.cells {
-			continue
-		}
-		for dx := -x.span; dx <= x.span; dx++ {
-			cxx := cx + dx
-			dxm := 0.0
-			if lo := float64(cxx) * cs; p.X < lo {
-				dxm = lo - p.X
-			} else if hi := float64(cxx+1) * cs; p.X > hi {
-				dxm = p.X - hi
-			}
-			if dxm*dxm+dym*dym > x.cullR2 {
-				continue
-			}
-			if wrap {
-				cxx = ((cxx % x.cells) + x.cells) % x.cells
-			} else if cxx < 0 || cxx >= x.cells {
-				continue
-			}
-			for _, j := range x.bucket[y*x.cells+cxx] {
-				fn(j)
-			}
+// scanAll visits every node once, cell by cell. Row and RowFiltered
+// use it when the scan window covers the whole grid, where visiting
+// each cell once avoids the duplicates a wrapped window would produce.
+// Callers append through the closure, which captures their slice
+// variable.
+func (x *Index) scanAll(fn func(j int32)) {
+	for _, b := range x.bucket {
+		for _, j := range b {
+			fn(j)
 		}
 	}
 }
