@@ -37,7 +37,7 @@ type mediumFilter struct{ s *Sim }
 
 // Allow reports whether the pair (i, j) may link: j's radio is up and
 // no partition cut severs the pair. Row-owner liveness (i) is checked
-// by the gather loop before the row is queried at all.
+// by rebuildRows before the row is queried at all.
 func (f *mediumFilter) Allow(i, j int32) bool {
 	return f.s.alive[j] && !f.s.medium.Cut(NodeID(i), NodeID(j))
 }
