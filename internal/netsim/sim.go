@@ -453,11 +453,15 @@ func (s *Sim) refreshAlive() {
 func (s *Sim) rebuildRows() {
 	n := s.cfg.N
 	off := s.adj.off
-	// Reserve a quarter of headroom over the previous tick's degree sum,
-	// so the buffer regrows only when the sum jumps past it; appending
-	// from a short buffer instead would regrow it in steps every tick.
-	prev := len(s.prevAdj.flat)
-	flat := slices.Grow(s.adj.flat[:0], prev+prev/4)
+	// A buffer too short for the previous tick's degree sum is replaced
+	// by one with a quarter of headroom over it, so the buffer regrows
+	// only when the sum climbs by about that much; growing it to fit
+	// each new maximum, or appending from a short buffer, would regrow
+	// it in steps across many ticks.
+	if prev := len(s.prevAdj.flat); cap(s.adj.flat) < prev {
+		s.adj.flat = make([]NodeID, 0, prev+prev/4)
+	}
+	flat := s.adj.flat[:0]
 	for i := 0; i < n; i++ {
 		off[i] = int32(len(flat))
 		if !s.index.Requery(i) {
