@@ -1,6 +1,6 @@
 # Development targets for the MANET overhead reproduction.
 
-.PHONY: build test vet race check check-full chaos difftest bench bench-pair bench-smoke serve-smoke crash-harness worker-chaos storage-chaos
+.PHONY: build test vet race check check-full chaos difftest results-check bench bench-pair bench-smoke serve-smoke crash-harness worker-chaos storage-chaos
 
 build:
 	go build ./...
@@ -54,6 +54,18 @@ chaos:
 # metamorphic invariances, statistical conformance) at full size.
 difftest:
 	go test -count=1 -v ./internal/difftest/ ./internal/refsim/
+
+# results-check regenerates every figure into a temporary directory and
+# fails unless it holds exactly the committed results/*.csv files, each
+# byte-identical: any diff, missing file or extra file fails.
+results-check:
+	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	go run ./cmd/figures -workers 2 -out "$$out" > /dev/null || exit 1; \
+	status=0; \
+	for f in results/*.csv; do cmp "$$f" "$$out/$${f#results/}" || status=1; done; \
+	for f in "$$out"/*; do test -e "results/$${f##*/}" || { echo "results-check: results/$${f##*/} is not committed"; status=1; }; done; \
+	test $$status -eq 0 && echo "results-check: $$(ls results/*.csv | wc -l) files match"; \
+	exit $$status
 
 # bench runs the Go benchmarks with five samples per row and allocation
 # counts (feed the output to benchstat to compare two trees). The root

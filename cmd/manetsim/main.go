@@ -284,8 +284,9 @@ func runFaulty(ctx context.Context, out io.Writer, net core.Network, fcfg faults
 	return nil
 }
 
-// writeTrace runs a short traced simulation of the scenario, under the
-// mobility model the options select, and writes the JSONL event log.
+// writeTrace runs a short traced simulation of the scenario, on the
+// engine configuration the measurement drivers use
+// (experiments.Options.SimConfig), and writes the JSONL event log.
 // The file is written atomically — a crash or an
 // abort mid-run leaves either the previous trace or none, never a torn
 // one — and close errors surface instead of vanishing in a defer.
@@ -299,15 +300,11 @@ func writeTrace(path string, net core.Network, opts experiments.Options) error {
 	if err != nil {
 		return err
 	}
-	model, err := opts.Model(net)
+	cfg, err := opts.SimConfig(net)
 	if err != nil {
 		return err
 	}
-	sim, err := netsim.New(netsim.Config{
-		N: net.N, Side: net.Side(), Range: net.R, Metric: opts.Metric,
-		Model: model, Dt: net.R / 30 / maxf(net.V, 1e-9), Seed: opts.Seed,
-		Stop: netsim.StopFromContext(opts.Ctx),
-	})
+	sim, err := netsim.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -329,12 +326,4 @@ func writeTrace(path string, net core.Network, opts experiments.Options) error {
 		return err
 	}
 	return f.Commit()
-}
-
-// maxf returns the larger of two floats.
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

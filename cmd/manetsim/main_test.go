@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"os"
 	"path/filepath"
@@ -128,6 +130,41 @@ func TestTraceFollowsMobilityFlag(t *testing.T) {
 	}
 	if bytes.Equal(traces["bcv"], traces["epoch-rwp"]) {
 		t.Error("-mobility bcv and -mobility epoch-rwp wrote identical traces")
+	}
+}
+
+// TestStaticTraceWritesRecords checks that -trace runs ticks on a
+// static scenario: a zero speed takes the unit tick of every
+// measurement driver, so the 20-time-unit run is 20 ticks, not none.
+func TestStaticTraceWritesRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "static.jsonl")
+	if err := run(context.Background(), []string{"-n", "50", "-v", "0", "-events", "300", "-trace", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(data, []byte("\n")); lines == 0 {
+		t.Error("-v 0 -trace wrote no records")
+	}
+}
+
+// TestTraceGolden pins the bytes of the trace at the default scenario
+// flags. -events sizes only the measurement window, not the trace, so
+// it is lowered to keep the test short.
+func TestTraceGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "default.jsonl")
+	if err := run(context.Background(), []string{"-events", "300", "-trace", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got, want := hex.EncodeToString(sum[:]), "3b73865c8db5f9d92345f62fa3832602026c0b619b3d145b2833f5329ec89165"; got != want {
+		t.Errorf("default-flag trace sha256 = %s, want %s", got, want)
 	}
 }
 

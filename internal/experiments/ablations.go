@@ -291,19 +291,14 @@ func AblationFlatVsHybrid(opts Options) ([]FlatVsHybridRow, error) {
 // measureFlatBits measures flat DSDV per-node control bits per unit
 // time on the scenario.
 func measureFlatBits(net core.Network, opts Options) (float64, error) {
-	model, err := opts.Model(net)
+	cfg, err := opts.SimConfig(net)
 	if err != nil {
 		return 0, err
 	}
-	dt := measureStep(net, opts)
 	// Flat DSDV floods N messages per link event; keep the window
 	// shorter than the rate measurements to stay cheap.
 	duration := measureDuration(net, opts) / 4
-	sim, err := netsim.New(netsim.Config{
-		N: net.N, Side: net.Side(), Range: net.R,
-		Metric: opts.Metric, Model: model, Dt: dt, Seed: opts.Seed,
-		Stop: stopCheck(opts.Ctx),
-	})
+	sim, err := netsim.New(cfg)
 	if err != nil {
 		return 0, err
 	}

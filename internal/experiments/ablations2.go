@@ -97,16 +97,13 @@ func AblationLinkLifetime(opts Options) ([]LifetimeRow, error) {
 		func(ctx context.Context, i int) (LifetimeRow, error) {
 			net := base
 			net.R = fracs[i] * base.Side()
-			model, err := opts.Model(net)
+			o := opts
+			o.Ctx = ctx
+			cfg, err := o.SimConfig(net)
 			if err != nil {
 				return LifetimeRow{}, err
 			}
-			sim, err := netsim.New(netsim.Config{
-				N: net.N, Side: net.Side(), Range: net.R,
-				Metric: opts.Metric, Model: model,
-				Dt: measureStep(net, opts), Seed: opts.Seed,
-				Stop: stopCheck(ctx),
-			})
+			sim, err := netsim.New(cfg)
 			if err != nil {
 				return LifetimeRow{}, err
 			}
@@ -177,16 +174,13 @@ func AblationHelloSchedule(opts Options) ([]HelloScheduleRow, error) {
 	res, err := RunSweepCtx(opts.context(), opts.sweep("ablation-hello-schedule"), len(intervals),
 		func(ctx context.Context, idx int) (HelloScheduleRow, error) {
 			interval := intervals[idx]
-			model, err := opts.Model(net)
+			o := opts
+			o.Ctx = ctx
+			cfg, err := o.SimConfig(net)
 			if err != nil {
 				return HelloScheduleRow{}, err
 			}
-			sim, err := netsim.New(netsim.Config{
-				N: net.N, Side: net.Side(), Range: net.R,
-				Metric: opts.Metric, Model: model,
-				Dt: measureStep(net, opts), Seed: opts.Seed,
-				Stop: stopCheck(ctx),
-			})
+			sim, err := netsim.New(cfg)
 			if err != nil {
 				return HelloScheduleRow{}, err
 			}
@@ -204,8 +198,7 @@ func AblationHelloSchedule(opts Options) ([]HelloScheduleRow, error) {
 			// sampling must not align with the beacon phase, or the tables
 			// would always look freshly refreshed.
 			var stale, live float64
-			dt := measureStep(net, opts)
-			for step := 0; step < int(20*interval/dt); step++ {
+			for step := 0; step < int(20*interval/cfg.Dt); step++ {
 				if err := sim.Step(); err != nil {
 					return HelloScheduleRow{}, err
 				}

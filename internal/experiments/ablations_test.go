@@ -242,6 +242,34 @@ func TestSizeBiasExplainsRouteOvershoot(t *testing.T) {
 	}
 }
 
+// TestSizeBiasOvershootMatchesMeasureRates checks that SizeBiasStudy
+// averages P over the samples it took. HELLO does not touch cluster
+// maintenance state, so SizeBiasStudy and MeasureRates cluster the base
+// scenario identically, and the overshoot must equal
+// FRoute/RouteRate(HeadRatio) of MeasureRates. At 107700 target events
+// the window is 403 ticks sampled every 3: 135 samples, one more than
+// 403/3 = 134.
+func TestSizeBiasOvershootMatchesMeasureRates(t *testing.T) {
+	opts := DefaultOptions()
+	opts.TargetEvents = 107_700
+	s, err := SizeBiasStudy(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := ablationBase()
+	m, err := MeasureRates(net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route, err := net.RouteRate(m.HeadRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := m.FRoute / route; relErr(s.MeasuredOvershoot, want) > 1e-12 {
+		t.Errorf("SizeBiasStudy overshoot %v, MeasureRates FRoute/RouteRate(P) %v", s.MeasuredOvershoot, want)
+	}
+}
+
 func TestHeadRatioTimeline(t *testing.T) {
 	opts := fastOptions()
 	fig, err := HeadRatioTimeline(opts)

@@ -69,18 +69,13 @@ func Degradation(net core.Network, losses []float64, opts Options) ([]Degradatio
 			pointOpts := opts
 			pointOpts.Ctx = ctx
 			pointOpts.Seed = SweepSeed(base, "degradation", i)
-			pt, err := measureDegraded(net, losses[i], pointOpts)
+			pt, err := MeasureFaulty(net, faults.Config{Loss: losses[i]}, pointOpts)
 			if err != nil {
 				return DegradationPoint{}, fmt.Errorf("experiments: degradation at p=%g: %w", losses[i], err)
 			}
 			return pt, nil
 		})
 	return res.Results, err
-}
-
-// measureDegraded runs one loss-rate point of the degradation sweep.
-func measureDegraded(net core.Network, loss float64, opts Options) (DegradationPoint, error) {
-	return MeasureFaulty(net, faults.Config{Loss: loss}, opts)
 }
 
 // MeasureFaulty runs one scenario under the hardened protocol stack —
@@ -98,85 +93,50 @@ func MeasureFaulty(net core.Network, fcfg faults.Config, opts Options) (Degradat
 	if err := net.Validate(); err != nil {
 		return DegradationPoint{}, err
 	}
-	model, err := opts.Model(net)
+	cfg, err := opts.SimConfig(net)
 	if err != nil {
 		return DegradationPoint{}, err
 	}
-	dt := measureStep(net, opts)
 	duration := measureDuration(net, opts)
 	warmup := duration * opts.WarmupFrac
 
 	// An inactive fault config keeps Medium nil: the exact ideal engine
 	// path, so the sweep's left edge is the regime the paper analyzes.
-	var medium netsim.Medium
 	var alive func(netsim.NodeID) bool
 	if fcfg.Active() {
 		inj, err := faults.New(fcfg)
 		if err != nil {
 			return DegradationPoint{}, err
 		}
-		medium = inj
+		cfg.Medium = inj
 		alive = inj.Alive
 	}
-	sim, err := netsim.New(netsim.Config{
-		N: net.N, Side: net.Side(), Range: net.R,
-		Metric: opts.Metric, Model: model, Dt: dt, Seed: opts.Seed,
-		Medium: medium, Stop: stopCheck(opts.Ctx),
-	})
+	sim, err := netsim.New(cfg)
 	if err != nil {
 		return DegradationPoint{}, err
 	}
-	maint, err := cluster.NewMaintainer(opts.Policy, core.DefaultMessageSizes.Cluster)
+	st, err := newHardenedStack(opts.Policy, fcfg.Delay, cfg.Dt)
 	if err != nil {
 		return DegradationPoint{}, err
 	}
-	// Retry every 2 ticks plus a round trip of the configured delivery
-	// latency: fast enough that repairs stay well inside the event
-	// timescale, slow enough that a retry never fires while its JOIN or
-	// ACK is still in flight (which would double the traffic into a
-	// storm). With no delay configured this is the historical 2 ticks.
-	retry := 2 + 2*int(math.Ceil(fcfg.Delay.BaseTicks+fcfg.Delay.JitterTicks))
-	if err := maint.EnableHandshake(retry); err != nil {
-		return DegradationPoint{}, err
-	}
-	hello, err := routing.NewHello(core.DefaultMessageSizes.Hello)
+	auditor, err := cluster.NewAuditor(st.maint, alive)
 	if err != nil {
 		return DegradationPoint{}, err
 	}
-	dv, err := routing.NewIntraDV(maint, core.DefaultMessageSizes.RouteEntry)
-	if err != nil {
-		return DegradationPoint{}, err
-	}
-	// Refresh every 8 ticks, expire after 4 missed refreshes.
-	if err := dv.EnableSoftState(8*dt, 32*dt); err != nil {
-		return DegradationPoint{}, err
-	}
-	auditor, err := cluster.NewAuditor(maint, alive)
-	if err != nil {
-		return DegradationPoint{}, err
-	}
-	if err := sim.Register(hello, maint, dv, auditor); err != nil {
+	if err := sim.Register(st.hello, st.maint, st.dv, auditor); err != nil {
 		return DegradationPoint{}, err
 	}
 	if err := sim.Run(warmup); err != nil {
 		return DegradationPoint{}, err
 	}
 
-	start := sim.Tallies()
 	var ratioSum float64
-	samples := 0
-	steps := int(duration / dt)
-	sampleEvery := steps/200 + 1
-	for i := 0; i < steps; i++ {
-		if err := sim.Step(); err != nil {
-			return DegradationPoint{}, err
-		}
-		if i%sampleEvery == 0 {
-			ratioSum += maint.HeadRatio()
-			samples++
-		}
+	w, samples, err := measureWindow(sim, int(duration/cfg.Dt), func() {
+		ratioSum += st.maint.HeadRatio()
+	})
+	if err != nil {
+		return DegradationPoint{}, err
 	}
-	w := sim.Tallies().Sub(start)
 
 	headRatio := ratioSum / math.Max(float64(samples), 1)
 	rates, err := net.ControlRates(headRatio)
@@ -197,6 +157,48 @@ func MeasureFaulty(net core.Network, fcfg faults.Config, opts Options) (Degradat
 		ViolatedNodeFraction: auditor.ViolatedNodeFraction(),
 		HeadRatio:            headRatio,
 	}, nil
+}
+
+// hardenedStack is the protocol stack of the fault experiments:
+// handshake cluster maintenance, HELLO and soft-state intra-cluster
+// distance-vector routing. Callers register hello, maint and dv in that
+// order.
+type hardenedStack struct {
+	maint *cluster.Maintainer
+	hello *routing.Hello
+	dv    *routing.IntraDV
+}
+
+// newHardenedStack builds the hardened stack for a medium with the
+// given delivery delay and a tick of dt time units.
+func newHardenedStack(policy cluster.Policy, delay faults.Delay, dt float64) (hardenedStack, error) {
+	maint, err := cluster.NewMaintainer(policy, core.DefaultMessageSizes.Cluster)
+	if err != nil {
+		return hardenedStack{}, err
+	}
+	// Retry every 2 ticks plus a round trip of the configured delivery
+	// latency: fast enough that repairs stay well inside the event
+	// timescale, slow enough that a retry never fires while its JOIN or
+	// ACK is still in flight (RTT is 2·(Base+Jitter) in the worst case;
+	// an earlier retry would double the traffic into a storm). With no
+	// delay configured this is the historical 2 ticks.
+	retry := 2 + 2*int(math.Ceil(delay.BaseTicks+delay.JitterTicks))
+	if err := maint.EnableHandshake(retry); err != nil {
+		return hardenedStack{}, err
+	}
+	hello, err := routing.NewHello(core.DefaultMessageSizes.Hello)
+	if err != nil {
+		return hardenedStack{}, err
+	}
+	dv, err := routing.NewIntraDV(maint, core.DefaultMessageSizes.RouteEntry)
+	if err != nil {
+		return hardenedStack{}, err
+	}
+	// Refresh every 8 ticks, expire after 4 missed refreshes.
+	if err := dv.EnableSoftState(8*dt, 32*dt); err != nil {
+		return hardenedStack{}, err
+	}
+	return hardenedStack{maint: maint, hello: hello, dv: dv}, nil
 }
 
 // DegradationFigure renders the sweep as a figure/CSV: overhead and

@@ -197,9 +197,35 @@ func (o Options) validate() (Options, error) {
 	return o, nil
 }
 
-// Model builds the mobility model Options.Mobility selects for a
-// scenario, as every measurement driver does.
-func (o Options) Model(net core.Network) (mobility.Model, error) {
+// SimConfig turns a scenario into the engine configuration of every
+// mobile measurement driver: the scenario's size, side and range, the
+// options' metric, the mobility model Options.Mobility selects, a tick
+// in which a node travels r·StepFrac (a unit tick when the scenario is
+// static), the options' seed and a stop-check bound to Options.Ctx.
+// Callers set Medium and PendingLimit on the result.
+func (o Options) SimConfig(net core.Network) (netsim.Config, error) {
+	o, err := o.validate()
+	if err != nil {
+		return netsim.Config{}, err
+	}
+	model, err := o.model(net)
+	if err != nil {
+		return netsim.Config{}, err
+	}
+	dt := 1.0
+	if net.V > 0 {
+		dt = net.R * o.StepFrac / net.V
+	}
+	return netsim.Config{
+		N: net.N, Side: net.Side(), Range: net.R,
+		Metric: o.Metric, Model: model, Dt: dt, Seed: o.Seed,
+		Stop: stopCheck(o.Ctx),
+	}, nil
+}
+
+// model builds the mobility model Options.Mobility selects for a
+// scenario.
+func (o Options) model(net core.Network) (mobility.Model, error) {
 	switch o.Mobility {
 	case MobilityEpochRWP:
 		epoch := o.EpochFrac * net.Side() / math.Max(net.V, 1e-9)
@@ -257,20 +283,14 @@ func MeasureRates(net core.Network, opts Options) (Measured, error) {
 	if err := net.Validate(); err != nil {
 		return Measured{}, err
 	}
-	model, err := opts.Model(net)
+	cfg, err := opts.SimConfig(net)
 	if err != nil {
 		return Measured{}, err
 	}
-
-	dt := measureStep(net, opts)
 	duration := measureDuration(net, opts)
 	warmup := duration * opts.WarmupFrac
 
-	sim, err := netsim.New(netsim.Config{
-		N: net.N, Side: net.Side(), Range: net.R,
-		Metric: opts.Metric, Model: model, Dt: dt, Seed: opts.Seed,
-		Stop: stopCheck(opts.Ctx),
-	})
+	sim, err := netsim.New(cfg)
 	if err != nil {
 		return Measured{}, err
 	}
@@ -299,22 +319,14 @@ func MeasureRates(net core.Network, opts Options) (Measured, error) {
 		return Measured{}, err
 	}
 
-	start := sim.Tallies()
 	var degSum, ratioSum float64
-	samples := 0
-	steps := int(duration / dt)
-	sampleEvery := steps/200 + 1
-	for i := 0; i < steps; i++ {
-		if err := sim.Step(); err != nil {
-			return Measured{}, err
-		}
-		if i%sampleEvery == 0 {
-			degSum += sim.MeanDegree()
-			ratioSum += maint.HeadRatio()
-			samples++
-		}
+	w, samples, err := measureWindow(sim, int(duration/cfg.Dt), func() {
+		degSum += sim.MeanDegree()
+		ratioSum += maint.HeadRatio()
+	})
+	if err != nil {
+		return Measured{}, err
 	}
-	w := sim.Tallies().Sub(start)
 
 	pick := func(kind netsim.MsgKind) float64 {
 		if opts.IncludeBorder {
@@ -342,13 +354,23 @@ func MeasureRates(net core.Network, opts Options) (Measured, error) {
 	}, nil
 }
 
-// measureStep derives the tick length: a node travels r·StepFrac per
-// tick; static scenarios use a unit tick.
-func measureStep(net core.Network, opts Options) float64 {
-	if net.V <= 0 {
-		return 1
+// measureWindow steps a measurement window of steps ticks, calling
+// sample after the first tick and then every steps/200+1 ticks, and
+// returns the window's tallies and the number of samples taken.
+func measureWindow(sim *netsim.Sim, steps int, sample func()) (netsim.Tallies, int, error) {
+	start := sim.Tallies()
+	samples := 0
+	sampleEvery := steps/200 + 1
+	for i := 0; i < steps; i++ {
+		if err := sim.Step(); err != nil {
+			return netsim.Tallies{}, 0, err
+		}
+		if i%sampleEvery == 0 {
+			sample()
+			samples++
+		}
 	}
-	return net.R * opts.StepFrac / net.V
+	return sim.Tallies().Sub(start), samples, nil
 }
 
 // measureDuration sizes the window so the analysis predicts about

@@ -45,8 +45,8 @@ func TestOptionsValidate(t *testing.T) {
 	if _, err := (Options{Mobility: MobilityKind(99)}).validate(); err != nil {
 		t.Fatal(err) // kind is validated at model build time
 	}
-	bad, _ := (Options{Mobility: MobilityKind(99)}).validate()
-	if _, err := bad.Model(core.Network{N: 10, R: 1, V: 1, Density: 1}); err == nil {
+	bad := Options{Mobility: MobilityKind(99)}
+	if _, err := bad.SimConfig(core.Network{N: 10, R: 1, V: 1, Density: 1}); err == nil {
 		t.Error("unknown mobility kind accepted")
 	}
 }

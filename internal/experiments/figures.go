@@ -23,8 +23,9 @@ type RateFigureSpec struct {
 	Apply func(net core.Network, x float64) core.Network
 }
 
-// ratePoint is one measured grid point of a rate figure. Fields are
-// exported so the point survives a JSON round trip through the
+// ratePoint is one measured scenario with its analytic predictions: a
+// grid point of a rate figure, or the one point of MeasureCSV. Fields
+// are exported so the point survives a JSON round trip through the
 // checkpoint journal bit-exactly.
 type ratePoint struct {
 	Meas  Measured

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -33,61 +34,68 @@ type SweepPlan struct {
 	Points int
 }
 
-// FigurePlan returns the sweep plan of a job-shaped figure driver.
-func FigurePlan(id int) (SweepPlan, error) {
-	switch id {
-	case 1:
-		return SweepPlan{Sweep: "fig1", Points: len(Figure1Xs)}, nil
-	case 2:
-		return SweepPlan{Sweep: "fig2", Points: len(Figure2Xs)}, nil
-	case 3:
-		return SweepPlan{Sweep: "fig3", Points: len(Figure3Xs)}, nil
-	case 8:
-		return SweepPlan{Sweep: "degradation", Points: len(DegradationLosses)}, nil
-	case 9:
-		return SweepPlan{Sweep: "recovery", Points: len(RecoveryDurations)}, nil
+// figureJob is one job-shaped figure driver: its figure id, its sweep
+// plan and the driver that renders it.
+type figureJob struct {
+	id     int
+	plan   SweepPlan
+	driver func(Options) (*metrics.Figure, error)
+}
+
+// figureJobs lists every sweep-shaped, journal-resumable figure driver
+// that FigureCSV can execute: 1, 2, 3 (frequency validations), 8 (loss
+// degradation) and 9 (partition recovery). Figures 4 and 5 are
+// excluded: 4 is closed-form (two panels, no sweep to resume) and 5
+// renders paired panels that do not reduce to one CSV artifact.
+var figureJobs = []figureJob{
+	{1, SweepPlan{Sweep: "fig1", Points: len(Figure1Xs)}, Figure1},
+	{2, SweepPlan{Sweep: "fig2", Points: len(Figure2Xs)}, Figure2},
+	{3, SweepPlan{Sweep: "fig3", Points: len(Figure3Xs)}, Figure3},
+	{8, SweepPlan{Sweep: "degradation", Points: len(DegradationLosses)}, Figure8},
+	{9, SweepPlan{Sweep: "recovery", Points: len(RecoveryDurations)}, Figure9},
+}
+
+// lookupFigureJob returns the job-shaped driver of a figure id, or an
+// error naming the supported ids.
+func lookupFigureJob(id int) (figureJob, error) {
+	ids := make([]string, len(figureJobs))
+	for i, j := range figureJobs {
+		if j.id == id {
+			return j, nil
+		}
+		ids[i] = strconv.Itoa(j.id)
 	}
-	return SweepPlan{}, fmt.Errorf("experiments: figure %d has no job-shaped driver (supported: 1, 2, 3, 8, 9)", id)
+	return figureJob{}, fmt.Errorf("experiments: figure %d has no job-shaped driver (supported: %s)", id, strings.Join(ids, ", "))
+}
+
+// FigurePlan returns the sweep plan of a job-shaped figure driver. Its
+// error for any other id names the supported ones.
+func FigurePlan(id int) (SweepPlan, error) {
+	j, err := lookupFigureJob(id)
+	return j.plan, err
 }
 
 // MeasurePlan returns the sweep plan of the single-point measure job.
 func MeasurePlan() SweepPlan { return SweepPlan{Sweep: "measure", Points: 1} }
 
-// FigureJobSupported reports whether a figure id names a sweep-shaped,
-// journal-resumable driver that FigureCSV can execute. Figures 4 and 5
-// are excluded: 4 is closed-form (two panels, no sweep to resume) and 5
-// renders paired panels that do not reduce to one CSV artifact.
+// FigureJobSupported reports whether a figure id names a job-shaped
+// driver that FigureCSV can execute.
 func FigureJobSupported(id int) bool {
-	switch id {
-	case 1, 2, 3, 8, 9:
-		return true
-	}
-	return false
+	_, err := lookupFigureJob(id)
+	return err == nil
 }
 
-// FigureCSV runs one figure driver and renders its CSV artifact.
-// Supported ids: 1, 2, 3 (frequency validations), 8 (loss degradation),
-// 9 (partition recovery). When the sweep is cut short (cancellation,
-// deadline, point failure) the bytes of the valid partial figure are
-// returned alongside the error, so callers can persist a partial
-// artifact that is a strict prefix-subset of the complete one.
+// FigureCSV runs one job-shaped figure driver and renders its CSV
+// artifact. When the sweep is cut short (cancellation, deadline, point
+// failure) the bytes of the valid partial figure are returned alongside
+// the error, so callers can persist a partial artifact that is a strict
+// prefix-subset of the complete one.
 func FigureCSV(id int, opts Options) ([]byte, error) {
-	var f *metrics.Figure
-	var err error
-	switch id {
-	case 1:
-		f, err = Figure1(opts)
-	case 2:
-		f, err = Figure2(opts)
-	case 3:
-		f, err = Figure3(opts)
-	case 8:
-		f, err = Figure8(opts)
-	case 9:
-		f, err = Figure9(opts)
-	default:
-		return nil, fmt.Errorf("experiments: figure %d has no job-shaped driver (supported: 1, 2, 3, 8, 9)", id)
+	j, err := lookupFigureJob(id)
+	if err != nil {
+		return nil, err
 	}
+	f, err := j.driver(opts)
 	if f == nil || !figureHasPoints(f) {
 		return nil, err
 	}
@@ -104,14 +112,6 @@ func figureHasPoints(f *metrics.Figure) bool {
 	return false
 }
 
-// measurePoint is one measured scenario with its analytic predictions.
-// Fields are exported so the point survives a JSON round trip through
-// the checkpoint journal bit-exactly.
-type measurePoint struct {
-	Meas  Measured
-	Rates core.Rates
-}
-
 // MeasureCSV measures one scenario (MeasureRates plus the paper's
 // analytic predictions at the measured head ratio) and renders it as a
 // one-row CSV artifact. The measurement runs as a single-point
@@ -123,18 +123,18 @@ func MeasureCSV(net core.Network, opts Options) ([]byte, error) {
 		return nil, err
 	}
 	res, err := RunSweepCtx(opts.context(), opts.sweep("measure"), 1,
-		func(ctx context.Context, _ int) (measurePoint, error) {
+		func(ctx context.Context, _ int) (ratePoint, error) {
 			o := opts
 			o.Ctx = ctx
 			meas, err := MeasureRates(net, o)
 			if err != nil {
-				return measurePoint{}, err
+				return ratePoint{}, err
 			}
 			rates, err := net.ControlRates(meas.HeadRatio)
 			if err != nil {
-				return measurePoint{}, err
+				return ratePoint{}, err
 			}
-			return measurePoint{Meas: meas, Rates: rates}, nil
+			return ratePoint{Meas: meas, Rates: rates}, nil
 		})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -69,9 +68,9 @@ type RecoveryPoint struct {
 	// RouteMeanTicks / RouteMaxTicks summarize the heal-to-route-
 	// converged spans: cluster convergence AND every heal-owned route
 	// violator (a node owing a route it cannot serve — loop-free,
-	// complete, live-hop tables, see routing.Converged) observed clean.
-	// Route convergence implies cluster convergence, so these dominate
-	// the cluster spans.
+	// complete, live-hop tables, see routing.RouteViolations) observed
+	// clean. Route convergence implies cluster convergence, so these
+	// dominate the cluster spans.
 	RouteMeanTicks, RouteMaxTicks float64
 	// DropRate / DupRate are the realized medium rates over the whole
 	// run (empirical check on the fault pipeline), both relative to
@@ -137,60 +136,36 @@ func measureRecovery(net core.Network, fcfg faults.Config, windows int, opts Opt
 	if fcfg.Partition.PeriodTicks <= 0 || fcfg.Partition.DurationTicks <= 0 {
 		return RecoveryPoint{}, fmt.Errorf("experiments: recovery needs an enabled partition model")
 	}
-	model, err := opts.Model(net)
+	cfg, err := opts.SimConfig(net)
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
-	dt := measureStep(net, opts)
 	inj, err := faults.New(fcfg)
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
-	alive := inj.Alive
-	sim, err := netsim.New(netsim.Config{
-		N: net.N, Side: net.Side(), Range: net.R,
-		Metric: opts.Metric, Model: model, Dt: dt, Seed: opts.Seed,
-		Medium: inj, Stop: stopCheck(opts.Ctx),
-		// The engine's default 64-frame per-receiver queue is sized for
-		// light delay; a partitioned network healing under multi-tick
-		// delays re-floods its whole control state at once, and a
-		// too-shallow queue evicts the very JOIN/ACK frames recovery
-		// depends on — the retry storm then keeps the queue saturated.
-		PendingLimit: 1024,
-	})
+	cfg.Medium = inj
+	// The engine's default 64-frame per-receiver queue is sized for
+	// light delay; a partitioned network healing under multi-tick
+	// delays re-floods its whole control state at once, and a
+	// too-shallow queue evicts the very JOIN/ACK frames recovery
+	// depends on — the retry storm then keeps the queue saturated.
+	cfg.PendingLimit = 1024
+	sim, err := netsim.New(cfg)
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
-	maint, err := cluster.NewMaintainer(opts.Policy, core.DefaultMessageSizes.Cluster)
+	st, err := newHardenedStack(opts.Policy, fcfg.Delay, cfg.Dt)
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
-	// Under same-tick delivery a 2-tick retry is loss recovery; under a
-	// delaying medium it would fire mid-flight on every exchange (RTT is
-	// 2·(Base+Jitter) in the worst case), doubling control traffic for
-	// nothing. Size the retry to cover the round trip.
-	retry := 2 + 2*int(math.Ceil(fcfg.Delay.BaseTicks+fcfg.Delay.JitterTicks))
-	if err := maint.EnableHandshake(retry); err != nil {
-		return RecoveryPoint{}, err
-	}
-	hello, err := routing.NewHello(core.DefaultMessageSizes.Hello)
-	if err != nil {
-		return RecoveryPoint{}, err
-	}
-	dv, err := routing.NewIntraDV(maint, core.DefaultMessageSizes.RouteEntry)
-	if err != nil {
-		return RecoveryPoint{}, err
-	}
-	if err := dv.EnableSoftState(8*dt, 32*dt); err != nil {
-		return RecoveryPoint{}, err
-	}
-	if err := sim.Register(hello, maint, dv); err != nil {
+	if err := sim.Register(st.hello, st.maint, st.dv); err != nil {
 		return RecoveryPoint{}, err
 	}
 
 	period := fcfg.Partition.PeriodTicks
 	dur := fcfg.Partition.DurationTicks
-	mon := newSLOMonitor(sim, maint, dv, alive)
+	mon := newSLOMonitor(sim, st.maint, st.dv, inj.Alive)
 	tick := int64(0)
 	step := func() error {
 		tick++

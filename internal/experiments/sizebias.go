@@ -46,18 +46,13 @@ func SizeBiasStudy(opts Options) (SizeBias, error) {
 		return SizeBias{}, err
 	}
 	net := ablationBase()
-	model, err := opts.Model(net)
+	cfg, err := opts.SimConfig(net)
 	if err != nil {
 		return SizeBias{}, err
 	}
-	dt := measureStep(net, opts)
 	duration := measureDuration(net, opts)
 
-	sim, err := netsim.New(netsim.Config{
-		N: net.N, Side: net.Side(), Range: net.R,
-		Metric: opts.Metric, Model: model, Dt: dt, Seed: opts.Seed,
-		Stop: stopCheck(opts.Ctx),
-	})
+	sim, err := netsim.New(cfg)
 	if err != nil {
 		return SizeBias{}, err
 	}
@@ -82,16 +77,7 @@ func SizeBiasStudy(opts Options) (SizeBias, error) {
 	}
 	var sumS, sumS2F, pSum float64
 	var samples float64
-	start := sim.Tallies()
-	steps := int(duration / dt)
-	sampleEvery := steps/200 + 1
-	for i := 0; i < steps; i++ {
-		if err := sim.Step(); err != nil {
-			return SizeBias{}, err
-		}
-		if i%sampleEvery != 0 {
-			continue
-		}
+	w, pSamples, err := measureWindow(sim, int(duration/cfg.Dt), func() {
 		for _, sz := range maint.Assignment().ClusterSizes() {
 			s := float64(sz)
 			hist.Add(s)
@@ -100,14 +86,16 @@ func SizeBiasStudy(opts Options) (SizeBias, error) {
 			samples++
 		}
 		pSum += maint.HeadRatio()
+	})
+	if err != nil {
+		return SizeBias{}, err
 	}
-	w := sim.Tallies().Sub(start)
 
 	meanSize := sumS / samples
 	secondFactorial := sumS2F / samples
 	bias := secondFactorial / (meanSize * (meanSize - 1))
 
-	p := pSum / float64(steps/sampleEvery)
+	p := pSum / float64(pSamples)
 	analysisRoute, err := net.RouteRate(p)
 	if err != nil {
 		return SizeBias{}, err

@@ -22,22 +22,18 @@ func HeadRatioTimeline(opts Options) (*metrics.Figure, error) {
 		return nil, err
 	}
 	net := ablationBase()
-	model, err := opts.Model(net)
+	cfg, err := opts.SimConfig(net)
 	if err != nil {
 		return nil, err
 	}
-	dt := measureStep(net, opts)
+	dt := cfg.Dt
 	life, err := net.ExpectedLinkLifetime()
 	if err != nil {
 		return nil, err
 	}
 	duration := 12 * life // several relaxation constants
 
-	sim, err := netsim.New(netsim.Config{
-		N: net.N, Side: net.Side(), Range: net.R,
-		Metric: opts.Metric, Model: model, Dt: dt, Seed: opts.Seed,
-		Stop: stopCheck(opts.Ctx),
-	})
+	sim, err := netsim.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,63 +1,32 @@
 package routing
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/netsim"
 )
 
-// Converged audits the routing-layer convergence condition: for every
-// ordered pair of live, same-cluster nodes that are connected through
-// their cluster's live subgraph, the distributed distance-vector tables
-// must hold a usable route — next-hop chaining from src must reach dst
-// without exceeding InfMetric hops (loop-free by construction), and
-// every hop must be a live node on a currently-up link. Pairs whose
-// cluster is itself split (no path through live members) are exempt:
-// no protocol can route across a physical cut, so the audit only
-// demands routes the topology actually supports.
+// RouteViolations audits the routing-layer convergence condition: for
+// every ordered pair of live, same-cluster nodes that are connected
+// through their cluster's live subgraph, the distributed distance-vector
+// tables must hold a usable route — next-hop chaining from src must
+// reach dst without exceeding InfMetric hops (loop-free by
+// construction), and every hop must be a live node on a currently-up
+// link. Pairs whose cluster is itself split (no path through live
+// members) are exempt: no protocol can route across a physical cut, so
+// the audit only demands routes the topology actually supports. alive
+// follows the engine convention: nil means every node is up.
 //
-// The first violation found is returned as a descriptive error; nil
-// means the tables have converged onto the topology. alive follows the
-// engine convention: nil means every node is up.
-func Converged(env netsim.Env, cl *cluster.Maintainer, dv *IntraDV, alive func(netsim.NodeID) bool) error {
-	var firstErr error
-	auditRoutes(env, cl, dv, alive, func(src netsim.NodeID, err error) bool {
-		firstErr = err
-		return false // stop at the first violation
-	})
-	return firstErr
-}
-
-// RouteViolations marks every live node that owes at least one route it
-// cannot serve (as audited by Converged) in the caller-provided scratch
-// slice (len ≥ NumNodes) and returns the number of violating nodes.
-// Convergence auditors use the per-node set to distinguish persistent
-// damage from the transient table churn that continuous loss and
-// delayed delivery produce even in steady state.
+// It marks every live node that owes at least one route it cannot serve
+// in the caller-provided scratch slice (len ≥ NumNodes) and returns the
+// number of violating nodes. Convergence auditors use the per-node set
+// to distinguish persistent damage from the transient table churn that
+// continuous loss and delayed delivery produce even in steady state.
 func RouteViolations(env netsim.Env, cl *cluster.Maintainer, dv *IntraDV, alive func(netsim.NodeID) bool, bad []bool) int {
-	n := env.NumNodes()
-	for i := 0; i < n; i++ {
-		bad[i] = false
-	}
-	count := 0
-	auditRoutes(env, cl, dv, alive, func(src netsim.NodeID, err error) bool {
-		if !bad[src] {
-			bad[src] = true
-			count++
-		}
-		return true // keep going: collect every violating source
-	})
-	return count
-}
-
-// auditRoutes walks every owed route and reports violations through
-// report(src, err); report returns false to stop the audit early. At
-// most one violation is reported per source node.
-func auditRoutes(env netsim.Env, cl *cluster.Maintainer, dv *IntraDV, alive func(netsim.NodeID) bool, report func(netsim.NodeID, error) bool) {
 	live := func(id netsim.NodeID) bool { return alive == nil || alive(id) }
 	n := env.NumNodes()
+	count := 0
 	for i := 0; i < n; i++ {
+		bad[i] = false
 		src := netsim.NodeID(i)
 		if !live(src) {
 			continue
@@ -75,29 +44,26 @@ func auditRoutes(env netsim.Env, cl *cluster.Maintainer, dv *IntraDV, alive func
 			if shortestPath(env, src, dst, keep) == nil {
 				continue // cluster physically split: no route owed
 			}
-			if err := routeUsable(env, dv, live, src, dst, head); err != nil {
-				if !report(src, err) {
-					return
-				}
+			if !routeUsable(env, dv, live, src, dst) {
+				bad[i] = true
+				count++
 				break // one violation per source is enough
 			}
 		}
 	}
+	return count
 }
 
 // routeUsable checks one owed route end to end.
-func routeUsable(env netsim.Env, dv *IntraDV, live func(netsim.NodeID) bool, src, dst, head netsim.NodeID) error {
+func routeUsable(env netsim.Env, dv *IntraDV, live func(netsim.NodeID) bool, src, dst netsim.NodeID) bool {
 	path, ok := dv.Route(src, dst)
 	if !ok {
-		return fmt.Errorf("routing: no route %d->%d in cluster %d", src, dst, head)
+		return false
 	}
 	for k := 0; k+1 < len(path); k++ {
-		if !live(path[k+1]) {
-			return fmt.Errorf("routing: route %d->%d traverses dead node %d", src, dst, path[k+1])
-		}
-		if !env.IsNeighbor(path[k], path[k+1]) {
-			return fmt.Errorf("routing: route %d->%d hop %d->%d is not a current link", src, dst, path[k], path[k+1])
+		if !live(path[k+1]) || !env.IsNeighbor(path[k], path[k+1]) {
+			return false
 		}
 	}
-	return nil
+	return true
 }

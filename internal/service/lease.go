@@ -338,13 +338,12 @@ func (c LeaseTableConfig) withDefaults() LeaseTableConfig {
 // results from revoked leases are deduplicated by the journal, not the
 // table.
 type LeaseTable struct {
-	cfg     LeaseTableConfig
-	points  []leasePoint
-	leases  map[string]*activeLease
-	next    int // lease id counter
-	prev    time.Duration
-	expired int
-	failed  error
+	cfg    LeaseTableConfig
+	points []leasePoint
+	leases map[string]*activeLease
+	next   int // lease id counter
+	prev   time.Duration
+	failed error
 }
 
 // NewLeaseTable builds the table over the job's not-yet-journaled
@@ -499,7 +498,6 @@ func (t *LeaseTable) expireLocked(now time.Time) {
 			continue
 		}
 		delete(t.leases, id)
-		t.expired++
 		if t.cfg.OnExpire != nil {
 			t.cfg.OnExpire(id, l.worker)
 		}
@@ -531,12 +529,6 @@ func (t *LeaseTable) Done() bool {
 
 // Failed returns the table's terminal failure, if any.
 func (t *LeaseTable) Failed() error { return t.failed }
-
-// Live reports the number of live leases (stats).
-func (t *LeaseTable) Live() int { return len(t.leases) }
-
-// Expired reports how many leases were revoked over the table's life.
-func (t *LeaseTable) Expired() int { return t.expired }
 
 // Remaining reports the number of unjournaled points (stats).
 func (t *LeaseTable) Remaining() int {

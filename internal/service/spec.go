@@ -169,8 +169,9 @@ func (s JobSpec) Validate() error {
 	}
 	switch s.Kind {
 	case KindFigure:
-		if !experiments.FigureJobSupported(s.Fig) {
-			return fmt.Errorf("service: figure %d is not servable (supported: 1, 2, 3, 8, 9)", s.Fig)
+		// FigurePlan's error names the servable figures.
+		if _, err := experiments.FigurePlan(s.Fig); err != nil {
+			return fmt.Errorf("service: %w", err)
 		}
 		// Figure drivers fix their own scenarios; scenario fields on a
 		// figure job would silently not do what the client expects, so

@@ -176,9 +176,6 @@ func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, erro
 	return x, nil
 }
 
-// Radius reports the query radius the index was tuned for.
-func (x *Index) Radius() float64 { return x.radius }
-
 // Stats returns the accumulated work counters.
 func (x *Index) Stats() IndexStats { return x.stats }
 
