@@ -86,7 +86,8 @@ bench:
 # and alternates K runs per side of BENCHMARK.json's run_seconds (pair i
 # uses seed i on both sides), then prints per-metric medians, the
 # parent's interquartile range, the change/parent ratio and the win
-# count. Only committed code is measured. Example:
+# count, then each pair's end-to-end values. Only committed code is
+# measured. Example:
 #   make bench-pair BASE=HEAD~1 W=lossy_churn K=10
 K ?= 5
 bench-pair:

@@ -47,6 +47,31 @@ func TestClusterRateComposition(t *testing.T) {
 	}
 }
 
+// TestClusterRateMemberTermIsEqn6 pins Eqn (6) to Eqn (11): the member
+// term of f_cluster is the per-member break rate weighted by the member
+// share, (1−P)·MemberHeadBreakClusterRate(P). ClusterRate keeps its own
+// inline arithmetic, whose float operation order fixes the committed CSV
+// bytes, so the two are compared, not shared.
+func TestClusterRateMemberTermIsEqn6(t *testing.T) {
+	for _, v := range []float64{0.01, 0.1, 1, 7.5} {
+		for _, r := range []float64{0.5, 1.5, 4} {
+			n := Network{N: 400, R: r, V: v, Density: 4}
+			for _, p := range []float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 0.9} {
+				total, err := n.ClusterRate(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := total - n.HeadHeadGenRate(p)
+				want := (1 - p) * n.MemberHeadBreakClusterRate(p)
+				if !relEq(got, want, 1e-12) {
+					t.Errorf("v=%v r=%v P=%v: ClusterRate − HeadHeadGenRate = %v, want (1−P)·Eqn 6 = %v",
+						v, r, p, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestClusterRateDegenerateRatios(t *testing.T) {
 	n := validNet()
 	// P = 1: every node its own head; no member–head links to break, but

@@ -67,13 +67,15 @@ var (
 )
 
 // delivery is one point delivery observed by the recorder: message ×
-// receiving node, in delivery order.
+// receiving node, in delivery order, with the engine's IsNeighbor answer
+// for the (receiver, sender) pair at the moment of delivery.
 type delivery struct {
 	Rcv, From netsim.NodeID
 	Kind      netsim.MsgKind
 	Seq       uint32
 	Bits      float64
 	Border    bool
+	Neighbor  bool
 }
 
 // recorder is a passive protocol that captures the per-tick link-event
@@ -81,19 +83,44 @@ type delivery struct {
 // element (the engines do not expose their event slices uniformly). It
 // sees only the deliveries each engine's sequence check passed, so the
 // stream also compares the two filters.
+//
+// It also probes the neighbour guard: on every delivery it asks the
+// engine IsNeighbor(receiver, sender), the question HELLO's, IntraDV's
+// and the JOIN-ACK guard ask during that delivery in the same engine
+// state, so comparing the streams checks the tick engine's answers
+// against refsim's linear scan. On the tick engine (sim non-nil) it also
+// counts the probes the pair shortcut did not answer: the engine records
+// the pair only while it walks a sender's row, so those are exactly the
+// frames released from the pending queue.
 type recorder struct {
 	events     []netsim.LinkEvent
 	deliveries []delivery
+	env        netsim.Env
+	sim        *netsim.Sim
+	searched   int64
 }
 
-func (r *recorder) Name() string           { return "difftest/recorder" }
-func (r *recorder) Start(netsim.Env) error { return nil }
+func (r *recorder) Name() string { return "difftest/recorder" }
+func (r *recorder) Start(env netsim.Env) error {
+	r.env = env
+	r.sim, _ = env.(*netsim.Sim)
+	return nil
+}
 func (r *recorder) OnLinkEvent(ev netsim.LinkEvent) {
 	r.events = append(r.events, ev)
 }
 func (r *recorder) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
+	var hits int64
+	if r.sim != nil {
+		hits = r.sim.PairShortcuts()
+	}
+	nb := r.env.IsNeighbor(rcv, msg.From)
+	if r.sim != nil && r.sim.PairShortcuts() == hits {
+		r.searched++
+	}
 	r.deliveries = append(r.deliveries, delivery{
 		Rcv: rcv, From: msg.From, Kind: msg.Kind, Seq: msg.Seq, Bits: msg.Bits, Border: msg.Border,
+		Neighbor: nb,
 	})
 }
 func (r *recorder) OnTick(float64) {}
@@ -187,6 +214,13 @@ type Observed struct {
 	Index space.IndexStats
 	// Tallies are the final counters, which both engines agree on.
 	Tallies netsim.Tallies
+	// PairShortcuts is how many IsNeighbor calls, from the protocols'
+	// guards and the recorder's probe, the same-tick delivery pair
+	// answered without a search.
+	PairShortcuts int64
+	// ReleasedSearches is how many deliveries' neighbour probes took the
+	// binary search: the frames released from the pending queue.
+	ReleasedSearches int64
 }
 
 // LockstepObserved is Lockstep plus what the optimized engine did.
@@ -237,7 +271,9 @@ func LockstepObserved(s Scenario) (Observed, error) {
 			RequeriedRows: st.RequeriedRows - built.RequeriedRows,
 			Teleports:     st.Teleports - built.Teleports,
 		},
-		Tallies: idx.Tallies(),
+		Tallies:          idx.Tallies(),
+		PairShortcuts:    idx.PairShortcuts(),
+		ReleasedSearches: opt.rec.searched,
 	}, nil
 }
 
@@ -267,6 +303,11 @@ func compare(s Scenario, tick int, ref, opt *stack) error {
 	}
 	if !slices.Equal(ref.rec.events, opt.rec.events) {
 		return fail("link events: reference %v, optimized %v", ref.rec.events, opt.rec.events)
+	}
+	if k, ok := firstGuardMismatch(ref.rec.deliveries, opt.rec.deliveries); ok {
+		d := opt.rec.deliveries[k]
+		return fail("neighbour guard at delivery %d (%d from %d, kind %v): IsNeighbor reference %v, optimized %v",
+			k, d.Rcv, d.From, d.Kind, ref.rec.deliveries[k].Neighbor, d.Neighbor)
 	}
 	if !slices.Equal(ref.rec.deliveries, opt.rec.deliveries) {
 		return fail("delivery stream: reference has %d deliveries, optimized %d; reference %v, optimized %v",
@@ -300,6 +341,21 @@ func compare(s Scenario, tick int, ref, opt *stack) error {
 		}
 	}
 	return checkClusterOracle(s, ref, opt, fail)
+}
+
+// firstGuardMismatch reports the index of the first delivery at which
+// the two streams differ, if the records there differ only in the
+// neighbour-guard answer.
+func firstGuardMismatch(ref, opt []delivery) (int, bool) {
+	for k := 0; k < len(ref) && k < len(opt); k++ {
+		if ref[k] == opt[k] {
+			continue
+		}
+		r := ref[k]
+		r.Neighbor = opt[k].Neighbor
+		return k, r == opt[k]
+	}
+	return 0, false
 }
 
 // checkClusterOracle re-derives clustering ground truth from the

@@ -164,7 +164,14 @@ func staticExtras(ticks int) []Scenario {
 // requery some rows but not all, and every static extra requeries none.
 // The sequence check must have withheld frames in the delaying or
 // duplicating scenarios (where the tick engine's lazily created filter
-// meets the oracle's always-on one) and none anywhere else.
+// meets the oracle's always-on one) and none anywhere else. The
+// neighbour guard's same-tick pair shortcut must have answered in every
+// scenario that delivers a frame in the tick it was sent (all but the
+// delay+dup ones, whose latency floor is one tick, and where it must
+// never answer), its binary-search fallback must have answered released
+// frames in every scenario that parks some and no delivery anywhere
+// else, and the recorder's probe demands refsim's linear-scan answer on
+// every delivery.
 func TestLockstepMatrix(t *testing.T) {
 	count, ticks := 48, 120
 	if testing.Short() {
@@ -194,6 +201,7 @@ func TestLockstepMatrix(t *testing.T) {
 					idealRq += obs.Index.RequeriedRows
 					mu.Unlock()
 				}
+				checkPairShortcut(t, s, obs)
 				if reorders(s) {
 					mu.Lock()
 					reorderStale += obs.Tallies.Stale
@@ -218,13 +226,16 @@ func TestLockstepMatrix(t *testing.T) {
 				if s.Faults.Partition.PeriodTicks > 0 {
 					covered["partition"] = true
 				}
+				if parks(s) && sendsSameTick(s) {
+					covered["mixed latency"] = true
+				}
 			}
 			if s.Handshake {
 				covered["handshake"] = true
 			}
 		}
 	})
-	for _, want := range []string{"square", "torus", "faults", "handshake", "delay", "dup", "partition"} {
+	for _, want := range []string{"square", "torus", "faults", "handshake", "delay", "dup", "partition", "mixed latency"} {
 		if !covered[want] {
 			t.Errorf("scenario matrix lost %s coverage", want)
 		}
@@ -243,6 +254,32 @@ func TestLockstepMatrix(t *testing.T) {
 func reorders(s Scenario) bool {
 	f := s.Faults
 	return f != nil && (f.Delay.BaseTicks > 0 || f.Delay.JitterTicks > 0 || f.DupProb > 0)
+}
+
+// A frame's latency is floor(BaseTicks + u·JitterTicks) ticks with u in
+// [0, 1): some frames arrive in the tick they were sent exactly when
+// BaseTicks < 1, and some are parked exactly when BaseTicks +
+// JitterTicks > 1.
+func sendsSameTick(s Scenario) bool { return s.Faults == nil || s.Faults.Delay.BaseTicks < 1 }
+func parks(s Scenario) bool {
+	return s.Faults != nil && s.Faults.Delay.BaseTicks+s.Faults.Delay.JitterTicks > 1
+}
+
+// checkPairShortcut asserts that each way the tick engine answers a
+// delivery's neighbour guard fired exactly where the medium allows it:
+// the same-tick pair shortcut whenever some frame is delivered in the
+// tick it was sent, and the binary search for a delivery whenever some
+// frame is parked and released later.
+func checkPairShortcut(t *testing.T, s Scenario, obs Observed) {
+	t.Helper()
+	if got := obs.PairShortcuts > 0; got != sendsSameTick(s) {
+		t.Errorf("pair shortcut answered %d IsNeighbor calls; want answers = %v (same-tick deliveries possible)",
+			obs.PairShortcuts, sendsSameTick(s))
+	}
+	if got := obs.ReleasedSearches > 0; got != parks(s) {
+		t.Errorf("%d delivery guards took the binary search; want searches = %v (released frames possible)",
+			obs.ReleasedSearches, parks(s))
+	}
 }
 
 // checkStaticFastPath asserts the tick engine's stationary fast path
@@ -269,6 +306,7 @@ func TestStaticExtrasExerciseFastPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkStaticFastPath(t, obs.Index, ticks)
+			checkPairShortcut(t, s, obs)
 		})
 	}
 }

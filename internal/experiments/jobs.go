@@ -78,13 +78,6 @@ func FigurePlan(id int) (SweepPlan, error) {
 // MeasurePlan returns the sweep plan of the single-point measure job.
 func MeasurePlan() SweepPlan { return SweepPlan{Sweep: "measure", Points: 1} }
 
-// FigureJobSupported reports whether a figure id names a job-shaped
-// driver that FigureCSV can execute.
-func FigureJobSupported(id int) bool {
-	_, err := lookupFigureJob(id)
-	return err == nil
-}
-
 // FigureCSV runs one job-shaped figure driver and renders its CSV
 // artifact. When the sweep is cut short (cancellation, deadline, point
 // failure) the bytes of the valid partial figure are returned alongside

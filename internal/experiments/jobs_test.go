@@ -11,17 +11,21 @@ import (
 )
 
 func TestFigureCSVRejectsUnsupportedIDs(t *testing.T) {
+	const supported = "supported: 1, 2, 3, 8, 9"
 	for _, id := range []int{0, 4, 5, 6, 7, 10, -1} {
 		if _, err := FigureCSV(id, DefaultOptions()); err == nil {
 			t.Errorf("figure id %d accepted, want rejection", id)
 		}
-		if FigureJobSupported(id) {
-			t.Errorf("FigureJobSupported(%d) = true", id)
+		_, err := FigurePlan(id)
+		if err == nil {
+			t.Errorf("FigurePlan(%d) accepted an unsupported id", id)
+		} else if !strings.Contains(err.Error(), supported) {
+			t.Errorf("FigurePlan(%d) error %q does not name the supported ids (%s)", id, err, supported)
 		}
 	}
 	for _, id := range []int{1, 2, 3, 8, 9} {
-		if !FigureJobSupported(id) {
-			t.Errorf("FigureJobSupported(%d) = false", id)
+		if plan, err := FigurePlan(id); err != nil || plan.Points == 0 {
+			t.Errorf("FigurePlan(%d) = %+v, %v; want a plan with points", id, plan, err)
 		}
 	}
 }

@@ -238,6 +238,45 @@ func TestAdvanceSkipsTicksWithoutDrift(t *testing.T) {
 	}
 }
 
+// TestCutIsSymmetric pins the netsim.Medium contract Cut(a, b) ==
+// Cut(b, a) for every pair, at ticks inside and outside the partition
+// windows, over several seeds' side draws. The engine's adjacency — and
+// with it IsNeighbor's same-tick pair shortcut — depends on it.
+func TestCutIsSymmetric(t *testing.T) {
+	const n = 30
+	part := Partition{PeriodTicks: 20, DurationTicks: 5}
+	for seed := uint64(1); seed <= 4; seed++ {
+		inj, err := New(Config{Partition: part})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj.Reset(n, simrand.New(seed).Split("faults"))
+		for tick := int64(0); tick < 3*part.PeriodTicks; tick++ {
+			inj.Advance(tick)
+			inside := tick%part.PeriodTicks < part.DurationTicks
+			cuts := 0
+			for a := netsim.NodeID(0); a < n; a++ {
+				for b := netsim.NodeID(0); b < n; b++ {
+					ab := inj.Cut(a, b)
+					if ab != inj.Cut(b, a) {
+						t.Fatalf("seed %d tick %d: Cut(%d, %d) = %v but Cut(%d, %d) = %v",
+							seed, tick, a, b, ab, b, a, !ab)
+					}
+					if ab {
+						cuts++
+					}
+				}
+			}
+			if inside && cuts == 0 {
+				t.Errorf("seed %d tick %d: no pair cut inside a partition window", seed, tick)
+			}
+			if !inside && cuts != 0 {
+				t.Errorf("seed %d tick %d: %d ordered pairs cut outside every partition window", seed, tick, cuts)
+			}
+		}
+	}
+}
+
 func TestDisableRestoresIdealMedium(t *testing.T) {
 	inj, err := New(Config{Loss: 0.5, Churn: Churn{MeanUpTicks: 5, MeanDownTicks: 5}})
 	if err != nil {

@@ -75,6 +75,12 @@ type Medium interface {
 	// current tick (a partition artifact). The engine consults it during
 	// topology recomputation for every in-range pair, so it must be
 	// cheap; media without partitions return false unconditionally.
+	//
+	// Cut must be symmetric: Cut(a, b) == Cut(b, a) at every tick. The
+	// engine relies on it to keep the adjacency symmetric, and
+	// Sim.IsNeighbor answers the same-tick (receiver, sender) pair of a
+	// delivery without a search because the receiver was found in the
+	// sender's row.
 	Cut(a, b NodeID) bool
 	// Deliver decides the fate of one point delivery from→to. seq is the
 	// run-global delivery attempt counter (strictly increasing), so

@@ -37,7 +37,9 @@ type mediumFilter struct{ s *Sim }
 
 // Allow reports whether the pair (i, j) may link: j's radio is up and
 // no partition cut severs the pair. Row-owner liveness (i) is checked
-// by rebuildRows before the row is queried at all.
+// by rebuildRows before the row is queried at all. Medium.Cut is
+// symmetric by contract, so the filtered adjacency stays symmetric —
+// the property IsNeighbor's same-tick pair shortcut rests on.
 func (f *mediumFilter) Allow(i, j int32) bool {
 	return f.s.alive[j] && !f.s.medium.Cut(NodeID(i), NodeID(j))
 }
@@ -79,6 +81,12 @@ type Sim struct {
 
 	queue  []Message
 	events []LinkEvent
+	// pairRcv and pairFrom are the (receiver, sender) pair of the
+	// same-tick row delivery in progress in drainQueue; pairRcv is -1
+	// outside a row walk. IsNeighbor answers that pair without a search,
+	// and pairHits counts those answers.
+	pairRcv, pairFrom NodeID
+	pairHits          int64
 	// attempts is the run-global delivery attempt counter handed to
 	// Medium.Deliver as the draw coordinate. Without delay or duplication
 	// it equals Delivered+Dropped, which keeps the fault-draw stream — and
@@ -125,6 +133,7 @@ func New(cfg Config) (*Sim, error) {
 		pop:     pop,
 		adj:     csrAdj{off: make([]int32, cfg.N+1)},
 		prevAdj: csrAdj{off: make([]int32, cfg.N+1)},
+		pairRcv: -1,
 	}
 	s.filt.s = s
 	if s.medium != nil {
@@ -262,8 +271,17 @@ func (s *Sim) Neighbors(id NodeID) []NodeID { return s.adj.row(id) }
 // Degree implements Env.
 func (s *Sim) Degree(id NodeID) int { return int(s.adj.off[id+1] - s.adj.off[id]) }
 
-// IsNeighbor implements Env.
+// IsNeighbor implements Env. The pair of the same-tick row delivery in
+// progress is answered without a search: drainQueue found the receiver
+// in the sender's row, and the adjacency is symmetric and fixed for the
+// whole drain, so the answer is true. Every other call — a frame
+// released from the pending queue, a call from OnTick or OnLinkEvent, a
+// pair other than (receiver, sender) — binary-searches a's row.
 func (s *Sim) IsNeighbor(a, b NodeID) bool {
+	if a == s.pairRcv && b == s.pairFrom {
+		s.pairHits++
+		return true
+	}
 	_, ok := slices.BinarySearch(s.adj.row(a), b)
 	return ok
 }
@@ -290,6 +308,11 @@ func (s *Sim) MeanDegree() float64 {
 // IndexStats exposes the spatial index's requery counters, for
 // benchmarks and diagnostics.
 func (s *Sim) IndexStats() space.IndexStats { return s.index.Stats() }
+
+// PairShortcuts returns how many IsNeighbor calls the same-tick
+// delivery pair answered without a search, for diagnostics and
+// coverage checks.
+func (s *Sim) PairShortcuts() int64 { return s.pairHits }
 
 // Tick returns the current tick number (0 before the first Step).
 func (s *Sim) Tick() int64 { return s.tick }
@@ -338,6 +361,12 @@ func (s *Sim) Broadcast(msg Message) {
 // got before. A filter table that starts empty at that moment therefore
 // accepts and rejects exactly what one fed since Start would. Ideal and
 // loss/churn-only runs never create it.
+//
+// While a row is walked, the (receiver, sender) pair of each delivery is
+// recorded for IsNeighbor's shortcut, and the record is cleared after
+// the row. Adjacency, liveness and the cut set change only in Step's
+// mobility, Advance and rebuild phases, never during a drain, so every
+// pair met here is adjacent both ways for as long as it is recorded.
 func (s *Sim) drainQueue() error {
 	// Legitimate protocols broadcast O(N) messages per tick (a full
 	// cluster re-formation plus a table round is a few multiples of N);
@@ -347,7 +376,9 @@ func (s *Sim) drainQueue() error {
 	for head < len(s.queue) {
 		msg := s.queue[head] // copied before handlers can grow s.queue
 		head++
+		s.pairFrom = msg.From
 		for _, nb := range s.adj.row(msg.From) {
+			s.pairRcv = nb
 			if s.medium == nil {
 				s.deliver(nb, msg)
 				continue
@@ -367,6 +398,7 @@ func (s *Sim) drainQueue() error {
 				s.deliverOrPark(nb, msg, fate.DupDelay)
 			}
 		}
+		s.pairRcv = -1
 		if head > maxRounds {
 			s.queue = s.queue[:0]
 			return fmt.Errorf("netsim: message storm: > %d broadcasts in one tick", maxRounds)
@@ -419,8 +451,10 @@ func (s *Sim) deliverOrPark(rcv NodeID, msg Message, delay int32) {
 // receiver whose radio died while the frame was in flight loses it (the
 // delivery counts as Dropped); current adjacency is deliberately not
 // re-checked — the frame was already on the air, which is exactly how
-// delayed media feed protocols stale information. Handlers' response
-// broadcasts queue as usual and drain right after.
+// delayed media feed protocols stale information; that is why no pair
+// is recorded here, and the receivers' neighbour guards search the
+// current adjacency. Handlers' response broadcasts queue as usual and
+// drain right after.
 func (s *Sim) releasePending() {
 	if s.pending == nil {
 		return

@@ -303,6 +303,53 @@ func TestBroadcastDeliveryAndTallies(t *testing.T) {
 	}
 }
 
+// TestIsNeighborPairShortcut pins IsNeighbor's same-tick shortcut: only
+// the (receiver, sender) pair of the row delivery in progress skips the
+// search, the reversed pair searches, and the record is gone once the
+// row walk ends.
+func TestIsNeighborPairShortcut(t *testing.T) {
+	s, err := New(staticConfig(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Degree(0) == 0 {
+		t.Skip("node 0 isolated in this placement; adjust seed")
+	}
+	sender := &probe{name: "sender"}
+	sender.onStart = func(env Env) {
+		env.Broadcast(Message{Kind: MsgHello, From: 0, Bits: 64})
+	}
+	var last NodeID
+	listener := &probe{name: "listener"}
+	listener.onMsg = func(env Env, rcv NodeID, msg Message) {
+		last = rcv
+		hits := s.PairShortcuts()
+		if !env.IsNeighbor(rcv, msg.From) || s.PairShortcuts() != hits+1 {
+			t.Errorf("delivery %d←%d: the pair was not answered by the shortcut", rcv, msg.From)
+		}
+		hits = s.PairShortcuts()
+		if !env.IsNeighbor(msg.From, rcv) {
+			t.Errorf("IsNeighbor(%d, %d) = false on a delivered link", msg.From, rcv)
+		}
+		if s.PairShortcuts() != hits {
+			t.Errorf("delivery %d←%d: a pair other than (receiver, sender) took the shortcut", rcv, msg.From)
+		}
+	}
+	if err := s.Register(sender, listener); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	hits := s.PairShortcuts()
+	if hits < int64(s.Degree(0)) {
+		t.Errorf("PairShortcuts = %d after %d deliveries", hits, s.Degree(0))
+	}
+	if !s.IsNeighbor(last, 0) || s.PairShortcuts() != hits {
+		t.Error("the last delivery's pair still took the shortcut after the drain")
+	}
+}
+
 func TestFloodingReachesComponentSameTick(t *testing.T) {
 	s, err := New(staticConfig(200))
 	if err != nil {

@@ -9,7 +9,9 @@
 // the median of each side, the parent's interquartile range, the
 // change/parent ratio of the medians and the number of pairs in which
 // the change was better (directions come from BENCHMARK.json; metrics
-// it does not list count lower as better).
+// it does not list count lower as better). Below that table it lists
+// each pair's parent and change value of every end_to_end metric in
+// BENCHMARK.json, so a claim can be checked pair by pair.
 //
 // Run from the repository root (or use make bench-pair BASE=<rev>
 // W=<workload>):
@@ -118,6 +120,7 @@ func run(base, workload string, k int) error {
 		}
 	}
 	report(workload, k, sides[0].rev, sides[1].rev, runs[0], runs[1], spec.better())
+	listPairs(runs[0], runs[1], spec.EndToEnd)
 	return nil
 }
 
@@ -222,5 +225,26 @@ func report(workload string, k int, baseRev, rev string, parent, change []result
 		}
 		fmt.Printf("%-34s %-10s %12.4g %12.4g %12.4g %9s %4d/%d\n",
 			name, names[name], mp, quantile(p, 0.75)-quantile(p, 0.25), mc, ratio, wins, len(p))
+	}
+}
+
+// listPairs prints, for every end_to_end metric, each pair's parent and
+// change value and their ratio, in pair order (pair i ran seed i).
+func listPairs(parent, change []result, endToEnd []struct{ Name, Better string }) {
+	fmt.Printf("\nend-to-end metrics per pair\n")
+	fmt.Printf("%-34s %4s %12s %12s %9s\n", "metric", "pair", "parent", "change", "ch/parent")
+	for _, m := range endToEnd {
+		for i := range parent {
+			pm, pok := parent[i].Metrics[m.Name]
+			cm, cok := change[i].Metrics[m.Name]
+			if !pok || !cok {
+				continue
+			}
+			ratio := "-"
+			if pm.Value != 0 {
+				ratio = fmt.Sprintf("%.3f", cm.Value/pm.Value)
+			}
+			fmt.Printf("%-34s %4d %12.4g %12.4g %9s\n", m.Name, i+1, pm.Value, cm.Value, ratio)
+		}
 	}
 }
