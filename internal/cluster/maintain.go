@@ -204,7 +204,10 @@ func (m *Maintainer) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 		case joinRequest:
 			// The neighbor check guards against delayed JOINs from nodes
 			// that have since moved out of range: an ACK could never reach
-			// them, and the membership it implies would violate P2.
+			// them, and the membership it implies would violate P2. p.Node
+			// is the JOIN's sender, so the engine answers the guard for a
+			// same-tick delivery without a search; only released frames
+			// pay for one.
 			if p.Head == rcv && m.a.Role[rcv] == RoleHead && m.env.IsNeighbor(rcv, p.Node) {
 				// Accept and acknowledge; the ACK inherits the JOIN's
 				// Border tag (causal propagation).
@@ -212,7 +215,9 @@ func (m *Maintainer) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 			}
 		case joinAck:
 			// A stale ACK from a head that is no longer adjacent must not
-			// commit the membership — it would violate P2 on the spot.
+			// commit the membership — it would violate P2 on the spot. The
+			// engine answers this (receiver, sender) guard for a same-tick
+			// delivery without a search; only released frames pay for one.
 			if p.Member == rcv && m.pending[rcv].active && m.pending[rcv].head == msg.From &&
 				m.env.IsNeighbor(rcv, msg.From) {
 				m.a.Role[rcv] = RoleMember

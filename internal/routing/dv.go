@@ -194,8 +194,9 @@ func (dv *IntraDV) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	// withheld out-of-sequence adverts (an old vector must never roll the
 	// table back); adverts from nodes that are no longer neighbors are
 	// ignored here (adopting them would install a next hop the receiver
-	// cannot reach). Same-tick delivery implies the sender is a current
-	// neighbor, so the ideal and loss-only paths never hit the guard.
+	// cannot reach). The engine answers the guard for a same-tick delivery
+	// without a search (the receiver sits in the sender's row); only
+	// frames released from its pending queue pay for one.
 	if !dv.env.IsNeighbor(rcv, msg.From) {
 		return
 	}

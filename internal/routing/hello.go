@@ -134,9 +134,10 @@ func (h *Hello) OnLinkEvent(ev netsim.LinkEvent) {
 // sender's entry in the receiver's table. The engine has already
 // withheld stale and duplicated beacons (by sequence number); a beacon
 // from a node that is no longer a neighbor is ignored here — a delayed
-// frame must not resurrect an entry the soft timer already dropped. On
-// the ideal medium the guard never fires: same-tick delivery implies the
-// sender is a current neighbor.
+// frame must not resurrect an entry the soft timer already dropped. The
+// engine answers the guard for a same-tick delivery from its row walk,
+// without a search; only frames released from its pending queue pay for
+// one.
 func (h *Hello) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	if msg.Kind != netsim.MsgHello {
 		return
